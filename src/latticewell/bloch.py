@@ -21,43 +21,9 @@ from .lattice import LatticeFunction, LatticeSpec
 from .spectrum import (
     ParticleSpec,
     Spectrum,
-    boltzmann_constant,
     build_hamiltonian_matrix,
     sine_mode_matrix,
 )
-
-
-@dataclass(frozen=True)
-class ThermalState:
-    """Inverse temperature with the derived dimensionless thermal variable."""
-
-    beta: float
-    k_B: float = 1.0
-    f_tilde: float = 0.0
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
-        if self.k_B <= 0:
-            raise ValueError(f"k_B must be positive, got {self.k_B!r}")
-
-    @classmethod
-    def from_beta(cls, beta, lattice, particle, k_B=None) -> "ThermalState":
-        kb = boltzmann_constant(particle) if k_B is None else k_B
-        return cls(beta, kb, beta * particle.energy_scale(lattice.a))
-
-    @classmethod
-    def from_temperature(cls, T, lattice, particle, k_B=None) -> "ThermalState":
-        if T <= 0:
-            raise ValueError(f"temperature must be positive, got {T!r}")
-        kb = boltzmann_constant(particle) if k_B is None else k_B
-        return cls.from_beta(1.0 / (kb * T), lattice, particle, kb)
-
-    @property
-    def temperature(self) -> float:
-        if self.beta == 0:
-            return math.inf
-        return 1.0 / (self.k_B * self.beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +126,3 @@ def density_matrix_continuum(x: float, x_prime: float, beta: float, particle: Pa
     d = x - x_prime
     return math.sqrt(g / math.pi) * math.exp(-g * d * d)
 
-
-def density_matrix_continuum_normalized(
-    x: float, x_prime: float, beta: float, L: float, particle: ParticleSpec
-) -> float:
-    """Gaussian kernel divided by Z = L sqrt(m*/2 pi beta hbar^2): diagonal is 1/L."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    if L <= 0:
-        raise ValueError(f"width L must be positive, got {L!r}")
-    g = particle.m_star / (2.0 * beta * particle.hbar ** 2)
-    d = x - x_prime
-    return math.exp(-g * d * d) / L

@@ -37,11 +37,6 @@ def centered_diff2(f: LatticeFunction, n: int, a: float) -> float:
     return (f(n + 2) - 2.0 * f(n) + f(n - 2)) / (4.0 * a * a)
 
 
-def translate(f: LatticeFunction, m: int) -> LatticeFunction:
-    """Shift by m sites: result(n) = f(n + m), zero where the source is clipped."""
-    return LatticeFunction([f(n + m) for n in range(f.N + 1)])
-
-
 def antiderivative_series(f: LatticeFunction, n: int, a: float) -> float:
     """Antidifference of f at site n from the translation-operator series.
 

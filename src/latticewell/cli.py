@@ -10,11 +10,12 @@ error (series cap hit).
 """
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .bloch import density_matrix_normalized, density_matrix_spectral
@@ -46,6 +47,9 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
+#: CSV rows formatted per write, which bounds the emitter's string temporaries.
+EMIT_BLOCK_ROWS = 1 << 16
+
 #: Default SI inputs (free-electron mass; hbar and k_B match the library defaults).
 M_STAR_SI_DEFAULT = 9.1e-31
 
@@ -72,6 +76,8 @@ class SweepSpec:
             start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"bad sweep {text!r}: {exc}") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"sweep ends must be finite, got {text!r}")
         scale = parts[3]
         if scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be linear or log, got {scale!r}")
@@ -127,6 +133,7 @@ _VALUE_TYPES = {
     "output": str,
     "out": str,
 }
+_DEFAULTS = {"n_E": 1, "quantity": "energy", "output": "csv"}
 _BOOL_DESTS = ("natural", "si", "normalized")
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
@@ -214,13 +221,16 @@ def _load_config_file(path: str, allowed: set) -> dict:
     return values
 
 
-def _merged(args: argparse.Namespace, fileconf: dict, dest: str, default=None):
-    flag = getattr(args, dest, None)
-    if flag is not None:
-        return flag
-    if dest in fileconf:
-        return fileconf[dest]
-    return default
+def _merged(args: argparse.Namespace, fileconf: dict) -> dict:
+    """Each value option from its flag, else from the config file, else its default (or None)."""
+    values = {}
+    for dest in _VALUE_TYPES:
+        flag = getattr(args, dest, None)
+        values[dest] = flag if flag is not None else fileconf.get(dest, _DEFAULTS.get(dest))
+    for dest, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{dest.replace('_', '-')} must be finite, got {value!r}")
+    return values
 
 
 def _require_positive(name: str, value) -> None:
@@ -243,15 +253,16 @@ def parse_config(argv=None) -> RunConfig:
             for d in pair:
                 fileconf.pop(d, None)
 
+    values = _merged(args, fileconf)
     si = bool(getattr(args, "si", False)) or bool(fileconf.get("si", False))
     natural = bool(getattr(args, "natural", False)) or bool(fileconf.get("natural", False))
     if si and natural:
         raise ConfigError("--natural and --SI are mutually exclusive")
     unit_mode = "SI" if si else "natural"
 
-    m_star = _merged(args, fileconf, "m_star")
-    hbar = _merged(args, fileconf, "hbar")
-    k_B = _merged(args, fileconf, "k_B")
+    m_star = values["m_star"]
+    hbar = values["hbar"]
+    k_B = values["k_B"]
     if unit_mode == "natural":
         if m_star is not None or hbar is not None or k_B is not None:
             raise ConfigError("natural units fix m-star = hbar = k-B = 1; use --SI to override")
@@ -263,9 +274,9 @@ def parse_config(argv=None) -> RunConfig:
     for name, value in (("m-star", m_star), ("hbar", hbar), ("k-B", k_B)):
         _require_positive(name, value)
 
-    N = _merged(args, fileconf, "N")
-    a = _merged(args, fileconf, "a")
-    L = _merged(args, fileconf, "L")
+    N = values["N"]
+    a = values["a"]
+    L = values["L"]
     if a is not None and L is not None:
         raise ConfigError("give exactly one of a and L")
     _require_positive("a", a)
@@ -285,16 +296,15 @@ def parse_config(argv=None) -> RunConfig:
         if a is None and L is None:
             a = 1.0
 
-    beta = _merged(args, fileconf, "beta")
-    T = _merged(args, fileconf, "T")
+    beta = values["beta"]
+    T = values["T"]
     if beta is not None and T is not None:
         raise ConfigError("give exactly one of beta and T")
     _require_positive("T", T)
     if beta is not None and beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta!r}")
 
-    sweep_text = _merged(args, fileconf, "sweep")
-    sweep = SweepSpec.parse(sweep_text) if sweep_text is not None else None
+    sweep = SweepSpec.parse(values["sweep"]) if values["sweep"] is not None else None
 
     thermal_given = beta is not None or T is not None
     if command in ("partition", "mean-energy"):
@@ -316,18 +326,18 @@ def parse_config(argv=None) -> RunConfig:
         if sweep is None:
             raise ConfigError("converge needs --sweep over N")
 
-    n_E = _merged(args, fileconf, "n_E", 1)
+    n_E = values["n_E"]
     if n_E < 1:
         raise ConfigError(f"n-E must be >= 1, got {n_E}")
-    quantity = _merged(args, fileconf, "quantity", "energy")
+    quantity = values["quantity"]
     if command == "converge" and quantity == "partition" and not thermal_given:
         raise ConfigError("quantity=partition needs --beta or --T")
     normalized = bool(getattr(args, "normalized", False)) or bool(fileconf.get("normalized", False))
 
-    output = _merged(args, fileconf, "output", "csv")
+    output = values["output"]
     if output not in ("csv", "json"):
         raise ConfigError(f"output must be csv or json, got {output!r}")
-    out = _merged(args, fileconf, "out")
+    out = values["out"]
 
     return RunConfig(
         command=command, N=N, a=a, L=L, unit_mode=unit_mode,
@@ -364,21 +374,20 @@ def _cmd_spectrum(cfg: RunConfig):
     lattice = _lattice(cfg)
     particle = _particle(cfg)
     spec = build_spectrum(lattice, particle)
-    rows = [
-        [m.n_E, m.e_tilde, m.energy,
-         energy_continuum(m.n_E, lattice.L, particle),
-         continuum_limit_error(m.n_E, lattice.N)]
-        for m in spec.modes
-    ]
-    return ["n_E", "e_tilde", "E", "E_continuum", "rel_error"], rows
+    return {
+        "n_E": spec.n_E,
+        "e_tilde": spec.e_tilde,
+        "E": spec.energies,
+        "E_continuum": energy_continuum(spec.n_E, lattice.L, particle),
+        "rel_error": continuum_limit_error(spec.n_E, lattice.N),
+    }
 
 
 def _cmd_wavefunction(cfg: RunConfig):
     lattice = _lattice(cfg)
     spec = build_spectrum(lattice, _particle(cfg))
     psi = eigenfunction(spec.mode(cfg.n_E), lattice)
-    rows = [[n, n * lattice.a, float(psi.values[n])] for n in range(lattice.N + 1)]
-    return ["n", "x_n", "psi"], rows
+    return {"n": np.arange(lattice.N + 1), "x_n": lattice.coords(), "psi": psi.values}
 
 
 def _cmd_density_matrix(cfg: RunConfig):
@@ -388,49 +397,42 @@ def _cmd_density_matrix(cfg: RunConfig):
     dm = density_matrix_spectral(spec, beta)
     if cfg.normalized:
         dm = density_matrix_normalized(dm, partition_discrete(spec, beta).Z)
-    rows = [
-        [n, np_, float(dm.rho[n, np_])]
-        for n in range(lattice.N + 1)
-        for np_ in range(lattice.N + 1)
-    ]
-    return ["n", "n_prime", "rho"], rows
+    n = np.arange(lattice.N + 1)
+    return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), "rho": dm.rho.ravel()}
+
+
+def _discrete_spectrum(cfg: RunConfig, particle: ParticleSpec):
+    """The lattice spectrum and width, or (None, L) for a continuum-only run."""
+    if cfg.N is None:
+        return None, cfg.L
+    lattice = _lattice(cfg)
+    return build_spectrum(lattice, particle), lattice.L
 
 
 def _cmd_partition(cfg: RunConfig):
     particle = _particle(cfg)
-    if cfg.N is None:
-        spec, L = None, cfg.L
-    else:
-        lattice = _lattice(cfg)
-        spec, L = build_spectrum(lattice, particle), lattice.L
-    rows = []
-    for beta in _beta_grid(cfg):
-        closed = partition_continuum_closed(L, particle, beta)
-        rows.append([
-            beta,
-            partition_discrete(spec, beta).Z if spec is not None else math.nan,
-            partition_continuum_sum(L, particle, beta).Z,
-            closed.Z,
-            partition_theta(L, particle, beta).Z,
-            closed.free_energy,
-        ])
-    return ["beta", "Z_discrete", "Z_continuum_sum", "Z_closed", "Z_theta", "F"], rows
+    spec, L = _discrete_spectrum(cfg, particle)
+    betas = _beta_grid(cfg)
+    closed = [partition_continuum_closed(L, particle, b) for b in betas]
+    return {
+        "beta": betas,
+        "Z_discrete": [partition_discrete(spec, b).Z if spec is not None else math.nan for b in betas],
+        "Z_continuum_sum": [partition_continuum_sum(L, particle, b).Z for b in betas],
+        "Z_closed": [c.Z for c in closed],
+        "Z_theta": [partition_theta(L, particle, b).Z for b in betas],
+        "F": [c.free_energy for c in closed],
+    }
 
 
 def _cmd_mean_energy(cfg: RunConfig):
     particle = _particle(cfg)
-    if cfg.N is None:
-        spec, L = None, cfg.L
-    else:
-        lattice = _lattice(cfg)
-        spec, L = build_spectrum(lattice, particle), lattice.L
-    rows = [
-        [beta,
-         mean_energy(spec, beta) if spec is not None else math.nan,
-         mean_energy_continuum(L, particle, beta)]
-        for beta in _beta_grid(cfg)
-    ]
-    return ["beta", "H_mean_discrete", "H_mean_continuum"], rows
+    spec, L = _discrete_spectrum(cfg, particle)
+    betas = _beta_grid(cfg)
+    return {
+        "beta": betas,
+        "H_mean_discrete": [mean_energy(spec, b) if spec is not None else math.nan for b in betas],
+        "H_mean_continuum": [mean_energy_continuum(L, particle, b) for b in betas],
+    }
 
 
 def _cmd_heat_capacity(cfg: RunConfig):
@@ -443,32 +445,26 @@ def _cmd_heat_capacity(cfg: RunConfig):
         temps = [cfg.T]
     else:
         temps = [1.0 / (cfg.k_B * cfg.beta)]
-    rows = [[T, theta / T, heat_capacity_two_level(spec, T, cfg.k_B)] for T in temps]
-    return ["T", "x", "Cv_over_R"], rows
+    return {
+        "T": temps,
+        "x": theta / np.asarray(temps),
+        "Cv_over_R": [heat_capacity_two_level(spec, T, cfg.k_B) for T in temps],
+    }
 
 
 def _cmd_converge(cfg: RunConfig):
     particle = _particle(cfg)
     L = cfg.L
-    rows = []
+    Ns = [int(round(v)) for v in cfg.sweep.values()]
     if cfg.quantity == "energy":
-        for v in cfg.sweep.values():
-            N = int(round(v))
-            lattice = LatticeSpec(N, L / N)
-            rows.append([
-                N, "energy",
-                energy_discrete(cfg.n_E, lattice, particle),
-                continuum_limit_error(cfg.n_E, N),
-            ])
+        value = [energy_discrete(cfg.n_E, LatticeSpec(N, L / N), particle) for N in Ns]
+        error = [continuum_limit_error(cfg.n_E, N) for N in Ns]
     else:
         beta = _beta_value(cfg)
         z_cont = partition_continuum_sum(L, particle, beta).Z
-        for v in cfg.sweep.values():
-            N = int(round(v))
-            lattice = LatticeSpec(N, L / N)
-            z_d = partition_discrete(build_spectrum(lattice, particle), beta).Z
-            rows.append([N, "partition", z_d, abs(z_d - z_cont)])
-    return ["N", "quantity", "value", "error_vs_continuum"], rows
+        value = [partition_discrete(build_spectrum(LatticeSpec(N, L / N), particle), beta).Z for N in Ns]
+        error = np.abs(np.asarray(value) - z_cont)
+    return {"N": Ns, "quantity": [cfg.quantity] * len(Ns), "value": value, "error_vs_continuum": error}
 
 
 _COMMANDS = {
@@ -482,50 +478,36 @@ _COMMANDS = {
 }
 
 
-def build_table(cfg: RunConfig):
+def build_table(cfg: RunConfig) -> dict:
+    """The configured table as ordered {column name: values} of equal length."""
     return _COMMANDS[cfg.command](cfg)
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
+def _csv_cells(column: np.ndarray) -> list[str]:
+    if column.dtype.kind == "f":
+        return [format(v, ".17g") for v in column.tolist()]
+    return [str(v) for v in column.tolist()]
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "N": cfg.N,
-        "a": cfg.a,
-        "L": cfg.L,
-        "unit_mode": cfg.unit_mode,
-        "m_star": cfg.m_star,
-        "hbar": cfg.hbar,
-        "k_B": cfg.k_B,
-        "beta": cfg.beta,
-        "T": cfg.T,
-        "sweep": cfg.sweep.text() if cfg.sweep else None,
-        "n_E": cfg.n_E,
-        "quantity": cfg.quantity,
-        "normalized": cfg.normalized,
-        "output": cfg.output,
-        "out": cfg.out,
-    }
+    echo = asdict(cfg)
+    echo["sweep"] = cfg.sweep.text() if cfg.sweep else None
+    return echo
 
 
-def emit(cfg: RunConfig, columns, rows, stream) -> None:
+def emit(cfg: RunConfig, table: dict, stream) -> None:
+    """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document."""
+    columns = [np.asarray(v) for v in table.values()]
     if cfg.output == "csv":
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        stream.write(",".join(table) + "\n")
+        for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
+            cells = [_csv_cells(col[start:start + EMIT_BLOCK_ROWS]) for col in columns]
+            stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
         return
     doc = {
         "config": _config_echo(cfg),
-        "columns": list(columns),
-        "rows": [[v if isinstance(v, (int, str)) else float(v) for v in row] for row in rows],
+        "columns": list(table),
+        "rows": list(zip(*(col.tolist() for col in columns))),
         "meta": {"version": __version__, "unit_mode": cfg.unit_mode},
     }
     stream.write(json.dumps(doc) + "\n")
@@ -533,14 +515,14 @@ def emit(cfg: RunConfig, columns, rows, stream) -> None:
 
 def run(cfg: RunConfig, stream=None) -> int:
     """Compute the configured table and write it (spec'd entry point)."""
-    columns, rows = build_table(cfg)
+    table = build_table(cfg)
     if stream is not None:
-        emit(cfg, columns, rows, stream)
+        emit(cfg, table, stream)
     elif cfg.out:
         with open(cfg.out, "w", newline="") as fh:
-            emit(cfg, columns, rows, fh)
+            emit(cfg, table, fh)
     else:
-        emit(cfg, columns, rows, sys.stdout)
+        emit(cfg, table, sys.stdout)
     return EXIT_OK
 
 

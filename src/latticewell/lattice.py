@@ -48,10 +48,6 @@ class LatticeFunction:
         arr.setflags(write=False)
         self.values = arr
 
-    @classmethod
-    def from_callable(cls, g, N: int) -> "LatticeFunction":
-        return cls([g(n) for n in range(N + 1)])
-
     @property
     def N(self) -> int:
         return self.values.size - 1

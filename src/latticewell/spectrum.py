@@ -53,36 +53,25 @@ def boltzmann_constant(particle: ParticleSpec) -> float:
     return 1.0 if particle.unit_mode == "natural" else K_B_SI
 
 
-def sin_pi_ratio(k: int, N: int) -> float:
-    """sin(pi k / N) for integer k, exact at multiples of N.
+def sin_pi_ratio(k, N: int):
+    """sin(pi k / N) for an integer k or integer array k, exact at multiples of N.
 
     Folding k into [0, N/2] keeps the sine argument small, so large k*n mode
-    products lose no precision and the wall zeros come out exactly 0.
+    products lose no precision and the wall zeros come out exactly +0.0.
     """
-    k = k % (2 * N)
-    sign = 1.0
-    if k >= N:
-        k -= N
-        sign = -1.0
-    if 2 * k > N:
-        k = N - k
-    if k == 0:
-        return 0.0
-    return sign * math.sin(math.pi * k / N)
+    r = np.asarray(k) % (2 * N)
+    m = r % N
+    s = np.sin(np.pi * np.minimum(m, N - m) / N)
+    return np.where(r < N, s, -s) + 0.0  # + 0.0 turns the -0.0 at k = N mod 2N into +0.0
 
 
 def sine_mode_matrix(N: int) -> np.ndarray:
     """Table sin(pi j n / N) of shape (N-1, N+1): modes j=1..N-1 on sites 0..N."""
-    j = np.arange(1, N)[:, None]
-    n = np.arange(N + 1)[None, :]
-    r = (j * n) % (2 * N)
-    sign = np.where(r >= N, -1.0, 1.0)
-    r = np.where(r >= N, r - N, r)
-    r = np.minimum(r, N - r)
-    return sign * np.sin(np.pi * r / N)
+    table = sin_pi_ratio(np.arange(2 * N), N)
+    return table[np.outer(np.arange(1, N), np.arange(N + 1)) % (2 * N)]
 
 
-def dimensionless_energy(n_E: int, N: int) -> float:
+def dimensionless_energy(n_E, N: int):
     """sin^2(pi n_E / N), the eigenvalue in units of the energy scale."""
     s = sin_pi_ratio(n_E, N)
     return s * s
@@ -98,26 +87,35 @@ class SpectralMode:
     norm_const: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The complete set of N-1 modes for one lattice and particle."""
+    """The complete set of N-1 modes for one lattice and particle.
+
+    e_tilde and norm_const are read-only arrays over n_E = 1..N-1.
+    """
 
     lattice: LatticeSpec
     particle: ParticleSpec
-    modes: tuple
+    e_tilde: np.ndarray
+    norm_const: np.ndarray
 
     @property
     def epsilon0(self) -> float:
         return self.particle.energy_scale(self.lattice.a)
 
     @property
+    def n_E(self) -> np.ndarray:
+        return np.arange(1, self.lattice.N)
+
+    @property
     def energies(self) -> np.ndarray:
-        return np.array([m.energy for m in self.modes])
+        return self.epsilon0 * self.e_tilde
 
     def mode(self, n_E: int) -> SpectralMode:
         if not 1 <= n_E <= self.lattice.N - 1:
             raise ValueError(f"n_E={n_E} outside [1, {self.lattice.N - 1}]")
-        return self.modes[n_E - 1]
+        et = float(self.e_tilde[n_E - 1])
+        return SpectralMode(int(n_E), et, self.epsilon0 * et, float(self.norm_const[n_E - 1]))
 
 
 def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> float:
@@ -131,9 +129,10 @@ def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> f
     return particle.energy_scale(lattice.a) * dimensionless_energy(n_E, lattice.N)
 
 
-def energy_continuum(n_E: int, L: float, particle: ParticleSpec) -> float:
+def energy_continuum(n_E, L: float, particle: ParticleSpec):
     """Parabolic continuum eigenvalue hbar^2 pi^2 / (2 m* L^2) * n_E^2."""
-    if n_E < 1:
+    n_E = np.asarray(n_E)
+    if np.any(n_E < 1):
         raise ValueError(f"n_E must be >= 1, got {n_E}")
     return particle.hbar ** 2 * math.pi ** 2 / (2.0 * particle.m_star * L * L) * n_E * n_E
 
@@ -146,14 +145,13 @@ def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:
     so its constant is 1/sqrt(L).
     """
     N = lattice.N
-    eps0 = particle.energy_scale(lattice.a)
-    c2 = math.sqrt(2.0 / lattice.L)
-    modes = []
-    for j in range(1, N):
-        et = dimensionless_energy(j, N)
-        nc = 1.0 / math.sqrt(lattice.L) if (N % 2 == 0 and 2 * j == N) else c2
-        modes.append(SpectralMode(j, et, eps0 * et, nc))
-    return Spectrum(lattice, particle, tuple(modes))
+    e_tilde = dimensionless_energy(np.arange(1, N), N)
+    norm_const = np.full(N - 1, math.sqrt(2.0 / lattice.L))
+    if N % 2 == 0:
+        norm_const[N // 2 - 1] = 1.0 / math.sqrt(lattice.L)
+    e_tilde.setflags(write=False)
+    norm_const.setflags(write=False)
+    return Spectrum(lattice, particle, e_tilde, norm_const)
 
 
 def eigenfunction(mode: SpectralMode, lattice: LatticeSpec) -> LatticeFunction:
@@ -161,7 +159,7 @@ def eigenfunction(mode: SpectralMode, lattice: LatticeSpec) -> LatticeFunction:
     N = lattice.N
     if not 1 <= mode.n_E <= N - 1:
         raise ValueError(f"mode n_E={mode.n_E} does not belong to a lattice with N={N}")
-    return LatticeFunction([mode.norm_const * sin_pi_ratio(mode.n_E * n, N) for n in range(N + 1)])
+    return LatticeFunction(mode.norm_const * sin_pi_ratio(mode.n_E * np.arange(N + 1), N))
 
 
 def build_hamiltonian_matrix(lattice: LatticeSpec) -> np.ndarray:
@@ -199,14 +197,15 @@ def numeric_spectrum(M: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
-def continuum_limit_error(n_E: int, N: int) -> float:
+def continuum_limit_error(n_E, N: int):
     """Relative deviation of the lattice eigenvalue from the continuum one.
 
     Equals 1 - (sin x / x)^2 with x = pi n_E / N, which is x^2/3 + O(x^4):
     second-order convergence in 1/N at fixed n_E.
     """
-    if not 1 <= n_E <= N - 1:
+    n_E = np.asarray(n_E)
+    if np.any((n_E < 1) | (n_E > N - 1)):
         raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
-    x = math.pi * n_E / N
-    s = math.sin(x) / x
+    x = np.pi * n_E / N
+    s = np.sin(x) / x
     return 1.0 - s * s

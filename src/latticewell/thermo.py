@@ -36,20 +36,14 @@ class PartitionResult:
     Z: float
     method: str
     beta: float
-    free_energy: float
     mu: float | None = None
 
-
-def _result(Z: float, method: str, beta: float, mu: float | None = None) -> PartitionResult:
-    F = -math.log(Z) / beta if beta > 0 else math.nan
-    return PartitionResult(Z, method, beta, F, mu)
-
-
-def free_energy(result: PartitionResult) -> float:
-    """F = -ln Z / beta."""
-    if result.beta <= 0:
-        raise ValueError(f"free energy needs beta > 0, got {result.beta!r}")
-    return -math.log(result.Z) / result.beta
+    @property
+    def free_energy(self) -> float:
+        """F = -ln Z / beta."""
+        if self.beta <= 0:
+            raise ValueError(f"free energy needs beta > 0, got {self.beta!r}")
+        return -math.log(self.Z) / self.beta
 
 
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
@@ -73,7 +67,7 @@ def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
     Z = float(np.sum(np.exp(-beta * spectrum.energies)))
-    return _result(Z, DISCRETE_SUM, beta)
+    return PartitionResult(Z, DISCRETE_SUM, beta)
 
 
 def partition_continuum_sum(
@@ -89,7 +83,7 @@ def partition_continuum_sum(
         if cutoff < 1:
             raise ValueError(f"cutoff must be >= 1, got {cutoff!r}")
         Z = sum(math.exp(-mu * n * n) for n in range(1, cutoff + 1))
-    return _result(Z, CONTINUUM_SUM, beta, mu)
+    return PartitionResult(Z, CONTINUUM_SUM, beta, mu)
 
 
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
@@ -98,7 +92,7 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
         raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
     Z = L * math.sqrt(particle.m_star / (2.0 * math.pi * beta * particle.hbar ** 2))
-    return _result(Z, CONTINUUM_CLOSED, beta, mu)
+    return PartitionResult(Z, CONTINUUM_CLOSED, beta, mu)
 
 
 def theta3(mu: float) -> float:
@@ -121,7 +115,7 @@ def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionR
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
-    return _result(0.5 * (theta3(mu) - 1.0), THETA, beta, mu)
+    return PartitionResult(0.5 * (theta3(mu) - 1.0), THETA, beta, mu)
 
 
 def mean_energy(spectrum: Spectrum, beta: float, zero_beta_limit: bool = False) -> float:
@@ -176,14 +170,6 @@ def two_level_model(spectrum: Spectrum, k_B: float | None = None) -> TwoLevelMod
     E1, E2 = _lowest_pair(spectrum)
     kb = boltzmann_constant(spectrum.particle) if k_B is None else k_B
     return TwoLevelModel(E1, E2, E1 - E2, abs(E1 - E2) / (2.0 * kb))
-
-
-def two_level_partition(spectrum: Spectrum, beta: float) -> float:
-    """Two lowest terms e^{-beta E1} + e^{-beta E2} of the discrete sum."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
-    E1, E2 = _lowest_pair(spectrum)
-    return math.exp(-beta * E1) + math.exp(-beta * E2)
 
 
 def characteristic_temperature(spectrum: Spectrum, k_B: float | None = None) -> float:

@@ -8,9 +8,7 @@ import pytest
 from latticewell import (
     LatticeSpec,
     ParticleSpec,
-    ThermalState,
     density_matrix_continuum,
-    density_matrix_continuum_normalized,
     density_matrix_normalized,
     density_matrix_spectral,
     partition_discrete,
@@ -24,24 +22,6 @@ NATURAL = ParticleSpec.natural()
 
 def spectrum_for(N, a=1.0):
     return build_spectrum(LatticeSpec(N, a), NATURAL)
-
-
-class TestThermalState:
-    def test_from_beta(self):
-        lat = LatticeSpec(10, 0.5)
-        ts = ThermalState.from_beta(3.0, lat, NATURAL)
-        assert ts.f_tilde == pytest.approx(3.0 * NATURAL.energy_scale(0.5), rel=1e-15)
-        assert ts.k_B == 1.0
-
-    def test_from_temperature(self):
-        lat = LatticeSpec(10)
-        ts = ThermalState.from_temperature(4.0, lat, NATURAL)
-        assert ts.beta == pytest.approx(0.25)
-        assert ts.temperature == pytest.approx(4.0)
-
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError):
-            ThermalState(-1.0)
 
 
 class TestSpectralConstruction:
@@ -232,15 +212,6 @@ class TestContinuumKernel:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             density_matrix_continuum(0.0, 0.0, 0.0, NATURAL)
-
-    def test_normalized_diagonal_and_ratio(self):
-        L, beta = 2.5, 0.8
-        for dx in (0.0, 0.3, 1.1):
-            un = density_matrix_continuum(1.0 + dx, 1.0, beta, NATURAL)
-            no = density_matrix_continuum_normalized(1.0 + dx, 1.0, beta, L, NATURAL)
-            Zc = L * math.sqrt(NATURAL.m_star / (2 * math.pi * beta * NATURAL.hbar ** 2))
-            assert no == pytest.approx(un / Zc, rel=1e-13)
-        assert density_matrix_continuum_normalized(0.4, 0.4, beta, L, NATURAL) == pytest.approx(1 / L)
 
     def test_diagonal_integral_is_partition(self):
         # trapezoid quadrature of the diagonal over [0, L] equals Z_closed

@@ -14,7 +14,6 @@ from latticewell import (
     centered_diff2,
     closed_form_antiderivative,
     definite_integral,
-    translate,
 )
 
 
@@ -82,35 +81,6 @@ class TestCenteredDiff2:
         # degree-3 breaks the 2-point stencil: ((n+1)^3-(n-1)^3)/2 = 3n^2 + 1
         f = lattice_fn(lambda n: float(n ** 3), 8)
         assert centered_diff1(f, 4, 1.0) == pytest.approx(3 * 16 + 1)
-
-
-class TestTranslate:
-    def test_identity(self):
-        f = lattice_fn(lambda n: n * 0.5, 7)
-        g = translate(f, 0)
-        assert np.array_equal(g.values, f.values)
-
-    def test_indicator_shift(self):
-        f = lattice_fn(lambda n: 1.0 if n == 5 else 0.0, 8)
-        g = translate(f, 2)
-        assert g(3) == 1.0
-        assert sum(g.values) == 1.0
-
-    def test_inverse_on_unclipped_region(self):
-        f = lattice_fn(lambda n: math.sin(0.3 * n), 10)
-        g = translate(translate(f, 3), -3)
-        # sites 3..10 map into range and back, so they return exactly
-        for n in range(3, 11):
-            assert g(n) == f(n)
-
-    def test_group_law(self):
-        rng = np.random.default_rng(7)
-        vals = np.zeros(13)
-        vals[4:9] = rng.normal(size=5)
-        f = LatticeFunction(vals)
-        lhs = translate(translate(f, 2), 1)
-        rhs = translate(f, 3)
-        assert np.array_equal(lhs.values, rhs.values)
 
 
 class TestAntiderivativeSeries:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from latticewell.cli import ConfigError, SweepSpec, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+INT_COLUMNS = ("n", "n_prime", "n_E", "N")
 
 GOLDEN_ARGS = {
     "spectrum.csv": ["spectrum", "--N", "8", "--natural"],
@@ -128,6 +131,29 @@ class TestExitStatuses:
     def test_success_is_zero(self, capsys):
         assert main(["spectrum", "--N", "4", "--natural"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--N", "6", "--natural", "--beta", "nan"],
+        ["partition", "--N", "6", "--natural", "--beta", "inf"],
+        ["partition", "--N", "6", "--natural", "--T", "inf"],
+        ["spectrum", "--N", "6", "--natural", "--a", "inf"],
+        ["partition", "--N", "6", "--natural", "--L", "inf", "--beta", "1"],
+        ["partition", "--N", "6", "--natural", "--sweep", "1:inf:3:log"],
+        ["partition", "--N", "6", "--natural", "--config", "{conf}"],
+    ], ids=["beta-nan", "beta-inf", "T-inf", "a-inf", "L-inf", "sweep-stop-inf", "config-beta-nan"])
+    def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("beta = nan\n")
+        assert main([arg.format(conf=conf) for arg in argv]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_underflowed_partition_prints_zero(self, capsys):
+        # Z underflows at beta = 1e5; F comes from the closed form, which does not
+        code, out = run_cli(["partition", "--N", "6", "--natural", "--beta", "1e5"], capsys)
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert float(row["Z_discrete"]) == float(row["Z_continuum_sum"]) == float(row["Z_theta"]) == 0.0
+        assert math.isfinite(float(row["F"])) and float(row["Z_closed"]) > 0
+
 
 class TestOutput:
     def test_spectrum_n4_values(self, capsys):
@@ -170,16 +196,24 @@ class TestOutput:
         assert code == 0
         assert out == (GOLDEN / name).read_text()
 
-    def test_csv_json_round_trip(self, capsys):
-        base = ["partition", "--N", "6", "--natural", "--sweep", "0.5:4:4:linear"]
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+    def test_csv_json_round_trip(self, name, capsys):
+        base = list(GOLDEN_ARGS[name])
         _, out_csv = run_cli(base, capsys)
         _, out_json = run_cli(base + ["--output", "json"], capsys)
         doc = json.loads(out_json)
         csv_rows = list(csv.reader(io.StringIO(out_csv)))
         assert csv_rows[0] == doc["columns"]
+        assert len(csv_rows) - 1 == len(doc["rows"])
         for crow, jrow in zip(csv_rows[1:], doc["rows"]):
-            for cval, jval in zip(crow, jrow):
-                assert abs(float(cval) - float(jval)) <= 1e-12 * max(1.0, abs(float(jval)))
+            assert len(crow) == len(jrow)
+            for column, cval, jval in zip(doc["columns"], crow, jrow):
+                if column in INT_COLUMNS:
+                    assert type(jval) is int and str(jval) == cval
+                elif column == "quantity":
+                    assert type(jval) is str and jval == cval
+                else:
+                    assert type(jval) is float and format(jval, ".17g") == cval
 
     def test_json_config_echo(self, capsys):
         _, out = run_cli(["spectrum", "--N", "4", "--natural", "--output", "json"], capsys)
@@ -196,10 +230,12 @@ class TestOutput:
         assert target.read_text() == stdout_version
 
     def test_module_entry_point(self):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "latticewell.cli", "spectrum", "--N", "4", "--natural"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("n_E,e_tilde,E,E_continuum,rel_error")

@@ -20,6 +20,7 @@ from latticewell import (
     energy_discrete,
     numeric_spectrum,
     sin_pi_ratio,
+    sine_mode_matrix,
 )
 
 NATURAL = ParticleSpec.natural()
@@ -52,6 +53,19 @@ def test_sin_pi_ratio_exact_zeros_and_symmetry():
             assert sin_pi_ratio(k, N) == sin_pi_ratio(N - k, N)
             assert sin_pi_ratio(k + 2 * N, N) == sin_pi_ratio(k, N)
             assert sin_pi_ratio(k + N, N) == -sin_pi_ratio(k, N)
+        # an integer array gives the scalar values, and every zero is +0.0
+        k = np.arange(-3 * N, 3 * N + 1)
+        values = sin_pi_ratio(k, N)
+        assert values.tolist() == [sin_pi_ratio(int(i), N) for i in k]
+        zeros = values[k % N == 0]
+        assert zeros.size == 7 and np.all(zeros == 0.0)
+        assert all(math.copysign(1.0, z) == 1.0 for z in zeros.tolist() + [sin_pi_ratio(N, N)])
+
+
+@pytest.mark.parametrize("N", [7, 8])
+def test_sine_mode_matrix_gathers_sin_pi_ratio_bitwise(N):
+    expected = np.array([[sin_pi_ratio(j * n, N) for n in range(N + 1)] for j in range(1, N)])
+    assert sine_mode_matrix(N).tobytes() == expected.tobytes()
 
 
 class TestEnergies:
@@ -106,14 +120,15 @@ class TestSpectrumObject:
     def test_mode_count(self):
         for N in (2, 5, 30):
             spec = build_spectrum(LatticeSpec(N), NATURAL)
-            assert len(spec.modes) == N - 1
+            assert len(spec.n_E) == N - 1
+            assert spec.e_tilde.shape == spec.norm_const.shape == (N - 1,)
 
     def test_norm_constants(self):
         spec = build_spectrum(LatticeSpec(10, 0.5), NATURAL)
         L = 5.0
-        for m in spec.modes:
-            expected = 1 / math.sqrt(L) if m.n_E == 5 else math.sqrt(2 / L)
-            assert m.norm_const == pytest.approx(expected, rel=1e-15)
+        for n_E in spec.n_E:
+            expected = 1 / math.sqrt(L) if n_E == 5 else math.sqrt(2 / L)
+            assert spec.mode(n_E).norm_const == pytest.approx(expected, rel=1e-15)
 
     def test_mode_lookup(self):
         spec = build_spectrum(LatticeSpec(9), NATURAL)
@@ -137,7 +152,7 @@ class TestEigenfunctions:
         for N in (5, 10, 33):
             lat = LatticeSpec(N, 0.7)
             spec = build_spectrum(lat, NATURAL)
-            for m in spec.modes:
+            for m in map(spec.mode, spec.n_E):
                 psi = eigenfunction(m, lat)
                 assert psi(0) == 0.0
                 assert psi(N) == 0.0
@@ -147,7 +162,7 @@ class TestEigenfunctions:
         for N in (10, 47, 200):
             lat = LatticeSpec(N)
             spec = build_spectrum(lat, NATURAL)
-            for m in spec.modes:
+            for m in map(spec.mode, spec.n_E):
                 psi = eigenfunction(m, lat)
                 top = np.max(np.abs(psi.values))
                 for n in range(2, N - 1):
@@ -159,7 +174,7 @@ class TestEigenfunctions:
         for N in (9, 10, 21):
             lat = LatticeSpec(N, 0.4)
             spec = build_spectrum(lat, NATURAL)
-            for m in spec.modes:
+            for m in map(spec.mode, spec.n_E):
                 psi = eigenfunction(m, lat)
                 sq = LatticeFunction(psi.values ** 2)
                 assert definite_integral(sq, 0, N, lat.a) == pytest.approx(1.0, abs=1e-12)

@@ -12,7 +12,6 @@ from latticewell import (
     SeriesCapExceeded,
     build_spectrum,
     characteristic_temperature,
-    free_energy,
     heat_capacity_two_level,
     mean_energy,
     mean_energy_continuum,
@@ -24,7 +23,6 @@ from latticewell import (
     theta3_poisson,
     theta_argument,
     two_level_model,
-    two_level_partition,
 )
 
 NATURAL = ParticleSpec.natural()
@@ -216,21 +214,20 @@ class TestMeanEnergy:
 
 class TestFreeEnergy:
     def test_unit_partition(self):
-        res = PartitionResult(1.0, "discrete_sum", 2.0, 0.0)
-        assert free_energy(res) == 0.0
+        assert PartitionResult(1.0, "discrete_sum", 2.0).free_energy == 0.0
 
     def test_e_partition(self):
-        res = PartitionResult(math.e, "discrete_sum", 2.0, -0.5)
-        assert free_energy(res) == pytest.approx(-0.5, rel=1e-15)
+        res = PartitionResult(math.e, "discrete_sum", 2.0)
+        assert res.free_energy == pytest.approx(-0.5, rel=1e-15)
 
     def test_electron_value(self):
         # F = -k_B T ln Z at Z = 1.8245, T = 300 K, scalar oracle
-        res = PartitionResult(1.8245, "continuum_sum", BETA_300K, 0.0)
-        assert free_energy(res) == pytest.approx(-2.4894067443426725e-21, rel=1e-12)
+        res = PartitionResult(1.8245, "continuum_sum", BETA_300K)
+        assert res.free_energy == pytest.approx(-2.4894067443426725e-21, rel=1e-12)
 
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
-            free_energy(PartitionResult(2.0, "discrete_sum", 0.0, math.nan))
+            PartitionResult(2.0, "discrete_sum", 0.0).free_energy
 
     def test_convexity_of_log_partition(self):
         # ln Z decreasing and convex in beta (finite differences)
@@ -244,26 +241,10 @@ class TestFreeEnergy:
 
 
 class TestTwoLevel:
-    def test_beta_zero(self):
-        assert two_level_partition(spectrum_for(6), 0.0) == 2.0
-
-    def test_n6_frozen_value(self):
-        # oracle: e^{-1/4} + e^{-3/4}
-        spec = spectrum_for(6)
-        assert two_level_partition(spec, 1.0 / spec.epsilon0) == pytest.approx(
-            1.2511673358124196, rel=1e-14
-        )
-
-    def test_ground_term_dominates(self):
-        spec = spectrum_for(6)
-        beta = 200.0 / spec.epsilon0
-        z2 = two_level_partition(spec, beta)
-        assert z2 == pytest.approx(math.exp(-beta * spec.mode(1).energy), rel=1e-10)
-
     def test_rejects_small_lattices(self):
         for N in (2, 3, 4):
             with pytest.raises(ValueError):
-                two_level_partition(spectrum_for(N), 1.0)
+                two_level_model(spectrum_for(N))
 
     def test_model_fields(self):
         spec = spectrum_for(6)
@@ -328,7 +309,8 @@ class TestHeatCapacity:
             T = theta / x
             beta = 1.0 / T
             h = 1e-3 * beta
-            lz = [math.log(two_level_partition(spec, b)) for b in (beta - h, beta, beta + h)]
+            E1, E2 = spec.mode(1).energy, spec.mode(2).energy
+            lz = [math.log(math.exp(-b * E1) + math.exp(-b * E2)) for b in (beta - h, beta, beta + h)]
             fd = beta ** 2 * (lz[0] - 2 * lz[1] + lz[2]) / (h * h)
             assert heat_capacity_two_level(spec, T) == pytest.approx(fd, abs=1e-5)
 
