@@ -9,6 +9,8 @@ terminates.
 
 import math
 
+import numpy as np
+
 from .lattice import LatticeFunction
 
 #: Below this magnitude a sine denominator counts as singular.  Any admissible
@@ -53,8 +55,17 @@ def antiderivative_series(f: LatticeFunction, n: int, a: float) -> float:
 
 
 def antiderivative(f: LatticeFunction, a: float) -> LatticeFunction:
-    """Tabulate antiderivative_series on every site 0..N."""
-    return LatticeFunction([antiderivative_series(f, n, a) for n in range(f.N + 1)])
+    """antiderivative_series on every site 0..N, in O(N).
+
+    tail[k] = f(k) + f(k+2) + ... is a reverse cumulative sum over the sites
+    of k's parity, and F(n) = -2a tail[n+1].  The sums run from the top site
+    down, so values differ from the series in the last digits.
+    """
+    v = f.values
+    tail = np.zeros(v.size + 1)
+    for parity in (0, 1):
+        tail[parity:v.size:2] = np.cumsum(v[parity::2][::-1])[::-1]
+    return LatticeFunction(-2.0 * a * tail[1:])
 
 
 def definite_integral(f: LatticeFunction, n_min: int, n_max: int, a: float) -> float:

@@ -5,13 +5,26 @@ heat-capacity, converge.  Identical configurations produce byte-identical
 output; numbers are written with 17 significant digits so either format
 round-trips exactly.
 
-Exit statuses: 0 success, 2 configuration error, 3 domain error, 4 numeric
-error (series cap hit).
+A ``--config`` file holds ``key = value`` lines (``#`` starts a comment).
+Keys are the subcommand's long flag names without the dashes, with ``_`` and
+``-`` interchangeable and ``si`` accepted for ``SI``.  Booleans (natural, SI,
+normalized) are words: 1/true/yes/on or 0/false/no/off.  Each line becomes a
+flag, ``--key=value`` or, for a true boolean, the bare flag, parsed ahead of
+the command line by the same parser: file values meet the same types and
+choices, flags override the file, and a flag silences the file's member of
+its exclusive pair (a/L, beta/T, natural/SI).
+
+Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
+2 configuration error, including a config file that cannot be read and an
+--out path that cannot be written; 3 domain error; 4 numeric error (series
+cap hit).
 """
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -43,6 +56,7 @@ from .thermo import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
@@ -53,9 +67,24 @@ EMIT_BLOCK_ROWS = 1 << 16
 #: Default SI inputs (free-electron mass; hbar and k_B match the library defaults).
 M_STAR_SI_DEFAULT = 9.1e-31
 
+#: Mutually exclusive option pairs, by dest.
+_PAIRS = (("a", "L"), ("beta", "T"), ("natural", "si"))
+#: Options that are bare flags on the command line and words in a config file.
+_SWITCHES = ("natural", "si", "normalized")
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
 
 class ConfigError(Exception):
     """Invalid flag/config-file combination."""
+
+
+def finite(text: str) -> float:
+    """A finite float: the argparse type of every real-valued option."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"numbers must be finite, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -69,6 +98,7 @@ class SweepSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
+        """The argparse type of --sweep."""
         parts = text.split(":")
         if len(parts) != 4:
             raise ConfigError(f"sweep must be start:stop:points:scale, got {text!r}")
@@ -118,82 +148,69 @@ class RunConfig:
     out: str | None
 
 
-_VALUE_TYPES = {
-    "N": int,
-    "a": float,
-    "L": float,
-    "m_star": float,
-    "hbar": float,
-    "k_B": float,
-    "beta": float,
-    "T": float,
-    "sweep": str,
-    "n_E": int,
-    "quantity": str,
-    "output": str,
-    "out": str,
-}
-_DEFAULTS = {"n_E": 1, "quantity": "energy", "output": "csv"}
-_BOOL_DESTS = ("natural", "si", "normalized")
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, set]]:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one option table, built on first use so that importing the module stays cheap."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--N", type=int, default=None, help="number of lattice spacings (sites 0..N)")
+    common.add_argument("--N", type=int, help="number of lattice spacings (sites 0..N)")
     geom = common.add_mutually_exclusive_group()
-    geom.add_argument("--a", type=float, default=None, help="lattice spacing")
-    geom.add_argument("--L", type=float, default=None, help="well width (spacing derived as L/N)")
+    geom.add_argument("--a", type=finite, help="lattice spacing")
+    geom.add_argument("--L", type=finite, help="well width (spacing derived as L/N)")
     units = common.add_mutually_exclusive_group()
     units.add_argument("--natural", action="store_true", help="natural units: m* = hbar = k_B = 1 (default)")
     units.add_argument("--SI", dest="si", action="store_true", help="SI units with --m-star/--hbar/--k-B")
-    common.add_argument("--m-star", type=float, default=None, help=f"effective mass [kg], default {M_STAR_SI_DEFAULT:g}")
-    common.add_argument("--hbar", type=float, default=None, help=f"hbar [J s], default {HBAR_SI:g}")
-    common.add_argument("--k-B", type=float, default=None, help=f"Boltzmann constant [J/K], default {K_B_SI:g}")
-    common.add_argument("--output", choices=("csv", "json"), default=None, help="table format (default csv)")
-    common.add_argument("--out", default=None, help="output file path (default stdout)")
-    common.add_argument("--config", default=None, help="key = value config file; flags take precedence")
+    common.add_argument("--m-star", type=finite, help=f"effective mass [kg], default {M_STAR_SI_DEFAULT:g}")
+    common.add_argument("--hbar", type=finite, help=f"hbar [J s], default {HBAR_SI:g}")
+    common.add_argument("--k-B", type=finite, help=f"Boltzmann constant [J/K], default {K_B_SI:g}")
+    common.add_argument("--output", choices=("csv", "json"), default="csv", help="table format (default csv)")
+    common.add_argument("--out", help="output file path (default stdout)")
+    common.add_argument("--config", help="key = value config file; flags take precedence")
 
     thermal = argparse.ArgumentParser(add_help=False)
     tgroup = thermal.add_mutually_exclusive_group()
-    tgroup.add_argument("--beta", type=float, default=None, help="inverse temperature")
-    tgroup.add_argument("--T", type=float, default=None, help="temperature")
+    tgroup.add_argument("--beta", type=finite, help="inverse temperature")
+    tgroup.add_argument("--T", type=finite, help="temperature")
 
     swept = argparse.ArgumentParser(add_help=False)
-    swept.add_argument("--sweep", default=None, help="start:stop:points:scale with scale linear|log")
+    swept.add_argument("--sweep", type=SweepSpec.parse, help="start:stop:points:scale with scale linear|log")
 
     parser = argparse.ArgumentParser(
         prog="latticewell",
         description="Hard-wall well on a lattice: spectra, density matrices, partition functions.",
     )
+    # n_E and quantity also reach the RunConfig of the commands without these options;
+    # where a command has one, its SUPPRESS default leaves this value in place.
+    parser.set_defaults(n_E=1, quantity="energy")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", parents=[common], help="all N-1 modes with continuum comparison")
     p = sub.add_parser("wavefunction", parents=[common], help="one normalized eigenfunction")
-    p.add_argument("--n-E", type=int, default=None, help="principal quantum number (default 1)")
+    p.add_argument("--n-E", type=int, default=argparse.SUPPRESS, help="principal quantum number (default 1)")
     p = sub.add_parser("density-matrix", parents=[common, thermal], help="spectral density matrix at beta")
     p.add_argument("--normalized", action="store_true", help="divide by the discrete partition function")
     sub.add_parser("partition", parents=[common, thermal, swept], help="Z by all four methods")
     sub.add_parser("mean-energy", parents=[common, thermal, swept], help="discrete and continuum mean energy")
     sub.add_parser("heat-capacity", parents=[common, thermal, swept], help="two-level heat capacity curve")
     p = sub.add_parser("converge", parents=[common, thermal, swept], help="lattice-to-continuum convergence over N")
-    p.add_argument("--n-E", type=int, default=None, help="mode tracked by quantity=energy (default 1)")
-    p.add_argument("--quantity", choices=("energy", "partition"), default=None, help="quantity to converge (default energy)")
-
-    allowed = {}
-    for name, sp in sub.choices.items():
-        dests = {act.dest for act in sp._actions if act.dest not in ("help", "config")}
-        allowed[name] = dests
-    return parser, allowed
+    p.add_argument("--n-E", type=int, default=argparse.SUPPRESS, help="mode tracked by quantity=energy (default 1)")
+    p.add_argument("--quantity", choices=("energy", "partition"), default=argparse.SUPPRESS,
+                   help="quantity to converge (default energy)")
+    return parser
 
 
-def _load_config_file(path: str, allowed: set) -> dict:
-    values = {}
+def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
+    """The config file's lines as flags for the subcommand whose options ``args`` holds.
+
+    Every pair member defaults to None or False, so one that holds another
+    value was given as a flag: the file's lines for its pair are dropped.
+    """
+    flagged = {dest for dest, value in vars(args).items() if value is not None and value is not False}
+    silenced = {dest for pair in _PAIRS if flagged.intersection(pair) for dest in pair}
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -203,34 +220,19 @@ def _load_config_file(path: str, allowed: set) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = key.strip(), val.strip()
         dest = key.replace("-", "_").replace("SI", "si")
-        if dest not in allowed:
+        # An exact dest, never a prefix that argparse would complete.
+        if dest == "config" or not hasattr(args, dest):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if dest in _BOOL_DESTS:
-            low = val.lower()
-            if low in _TRUE_WORDS:
-                values[dest] = True
-            elif low in _FALSE_WORDS:
-                values[dest] = False
-            else:
-                raise ConfigError(f"{path}:{lineno}: key {key!r} expects a boolean, got {val!r}")
+        if dest in silenced:
             continue
-        try:
-            values[dest] = _VALUE_TYPES[dest](val)
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad value {val!r} for key {key!r}") from None
-    return values
-
-
-def _merged(args: argparse.Namespace, fileconf: dict) -> dict:
-    """Each value option from its flag, else from the config file, else its default (or None)."""
-    values = {}
-    for dest in _VALUE_TYPES:
-        flag = getattr(args, dest, None)
-        values[dest] = flag if flag is not None else fileconf.get(dest, _DEFAULTS.get(dest))
-    for dest, value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{dest.replace('_', '-')} must be finite, got {value!r}")
-    return values
+        flag = "--" + ("SI" if dest == "si" else dest.replace("_", "-"))
+        if dest not in _SWITCHES:
+            flags.append(f"{flag}={val}")
+        elif val.lower() in _TRUE_WORDS:
+            flags.append(flag)
+        elif val.lower() not in _FALSE_WORDS:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} expects a boolean, got {val!r}")
+    return flags
 
 
 def _require_positive(name: str, value) -> None:
@@ -239,30 +241,16 @@ def _require_positive(name: str, value) -> None:
 
 
 def parse_config(argv=None) -> RunConfig:
-    parser, allowed = _build_parser()
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     command = args.command
+    if args.config:
+        # argv[0] is the command: the top-level parser has no other arguments.
+        args = parser.parse_args([command, *_config_flags(args.config, args), *argv[1:]])
 
-    fileconf = {}
-    if getattr(args, "config", None):
-        fileconf = _load_config_file(args.config, allowed[command])
-    # A flag from a mutually exclusive pair silences the config file's other member.
-    for pair in (("beta", "T"), ("a", "L"), ("natural", "si")):
-        given = [d for d in pair if getattr(args, d, None) not in (None, False)]
-        if given:
-            for d in pair:
-                fileconf.pop(d, None)
-
-    values = _merged(args, fileconf)
-    si = bool(getattr(args, "si", False)) or bool(fileconf.get("si", False))
-    natural = bool(getattr(args, "natural", False)) or bool(fileconf.get("natural", False))
-    if si and natural:
-        raise ConfigError("--natural and --SI are mutually exclusive")
-    unit_mode = "SI" if si else "natural"
-
-    m_star = values["m_star"]
-    hbar = values["hbar"]
-    k_B = values["k_B"]
+    unit_mode = "SI" if args.si else "natural"
+    m_star, hbar, k_B = args.m_star, args.hbar, args.k_B
     if unit_mode == "natural":
         if m_star is not None or hbar is not None or k_B is not None:
             raise ConfigError("natural units fix m-star = hbar = k-B = 1; use --SI to override")
@@ -274,11 +262,7 @@ def parse_config(argv=None) -> RunConfig:
     for name, value in (("m-star", m_star), ("hbar", hbar), ("k-B", k_B)):
         _require_positive(name, value)
 
-    N = values["N"]
-    a = values["a"]
-    L = values["L"]
-    if a is not None and L is not None:
-        raise ConfigError("give exactly one of a and L")
+    N, a, L = args.N, args.a, args.L
     _require_positive("a", a)
     _require_positive("L", L)
     if command == "converge":
@@ -296,29 +280,21 @@ def parse_config(argv=None) -> RunConfig:
         if a is None and L is None:
             a = 1.0
 
-    beta = values["beta"]
-    T = values["T"]
-    if beta is not None and T is not None:
-        raise ConfigError("give exactly one of beta and T")
+    beta = getattr(args, "beta", None)
+    T = getattr(args, "T", None)
     _require_positive("T", T)
     if beta is not None and beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta!r}")
 
-    sweep = SweepSpec.parse(values["sweep"]) if values["sweep"] is not None else None
-
+    sweep = getattr(args, "sweep", None)
     thermal_given = beta is not None or T is not None
-    if command in ("partition", "mean-energy"):
+    if command in ("partition", "mean-energy", "heat-capacity"):
         if sweep is not None and thermal_given:
             raise ConfigError("give either --beta/--T or --sweep, not both")
         if sweep is None and not thermal_given:
             raise ConfigError("give --beta, --T, or --sweep")
-        if beta is not None and beta == 0:
-            raise ConfigError("continuum partition functions need beta > 0")
-    elif command == "heat-capacity":
-        if sweep is not None and thermal_given:
-            raise ConfigError("give either --beta/--T or --sweep, not both")
-        if sweep is None and not thermal_given:
-            raise ConfigError("give --T, --beta, or --sweep")
+        if beta == 0:
+            raise ConfigError(f"{command} needs beta > 0")
     elif command == "density-matrix":
         if not thermal_given:
             raise ConfigError("give --beta or --T")
@@ -326,23 +302,16 @@ def parse_config(argv=None) -> RunConfig:
         if sweep is None:
             raise ConfigError("converge needs --sweep over N")
 
-    n_E = values["n_E"]
-    if n_E < 1:
-        raise ConfigError(f"n-E must be >= 1, got {n_E}")
-    quantity = values["quantity"]
-    if command == "converge" and quantity == "partition" and not thermal_given:
+    if args.n_E < 1:
+        raise ConfigError(f"n-E must be >= 1, got {args.n_E}")
+    if command == "converge" and args.quantity == "partition" and not thermal_given:
         raise ConfigError("quantity=partition needs --beta or --T")
-    normalized = bool(getattr(args, "normalized", False)) or bool(fileconf.get("normalized", False))
-
-    output = values["output"]
-    if output not in ("csv", "json"):
-        raise ConfigError(f"output must be csv or json, got {output!r}")
-    out = values["out"]
 
     return RunConfig(
         command=command, N=N, a=a, L=L, unit_mode=unit_mode,
         m_star=m_star, hbar=hbar, k_B=k_B, beta=beta, T=T, sweep=sweep,
-        n_E=n_E, quantity=quantity, normalized=normalized, output=output, out=out,
+        n_E=args.n_E, quantity=args.quantity, normalized=getattr(args, "normalized", False),
+        output=args.output, out=args.out,
     )
 
 
@@ -519,8 +488,11 @@ def run(cfg: RunConfig, stream=None) -> int:
     if stream is not None:
         emit(cfg, table, stream)
     elif cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            emit(cfg, table, fh)
+        try:
+            with open(cfg.out, "w", newline="") as fh:
+                emit(cfg, table, fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from None
     else:
         emit(cfg, table, sys.stdout)
     return EXIT_OK
@@ -528,20 +500,26 @@ def run(cfg: RunConfig, stream=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv)
+        code = run(parse_config(argv))
+        sys.stdout.flush()  # so that a closed pipe raises here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:  # argparse usage text / --help
         return int(exc.code) if exc.code else 0
-    try:
-        return run(cfg)
     except SeriesCapExceeded as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError as exc:
+        # The Python docs' SIGPIPE recipe: point stdout at devnull so that the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -31,19 +31,25 @@ class SeriesCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Partition function value with its evaluation method and derived F."""
+    """Partition function value with its evaluation method and derived F.
+
+    ``log_Z`` is ln Z where the route computes it apart from Z, so that it
+    survives an underflowed Z; when it is None, ln Z is taken from Z.
+    """
 
     Z: float
     method: str
     beta: float
     mu: float | None = None
+    log_Z: float | None = None
 
     @property
     def free_energy(self) -> float:
         """F = -ln Z / beta."""
         if self.beta <= 0:
             raise ValueError(f"free energy needs beta > 0, got {self.beta!r}")
-        return -math.log(self.Z) / self.beta
+        log_Z = math.log(self.Z) if self.log_Z is None else self.log_Z
+        return -log_Z / self.beta
 
 
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
@@ -63,11 +69,19 @@ def _gaussian_series(c: float) -> float:
 
 
 def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
-    """Direct sum over the N-1 lattice modes; Z(0) = N-1."""
+    """Direct sum over the N-1 lattice modes; Z(0) = N-1.
+
+    ln Z is summed from the ground state up, ln Z = -beta E0 + ln sum
+    exp(-beta (E - E0)), as mean_energy weights the modes, so it stays finite
+    where Z underflows to 0.
+    """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
-    Z = float(np.sum(np.exp(-beta * spectrum.energies)))
-    return PartitionResult(Z, DISCRETE_SUM, beta)
+    E = spectrum.energies
+    Z = float(np.sum(np.exp(-beta * E)))
+    E0 = float(E.min())
+    log_Z = -beta * E0 + math.log(float(np.sum(np.exp(-beta * (E - E0)))))
+    return PartitionResult(Z, DISCRETE_SUM, beta, log_Z=log_Z)
 
 
 def partition_continuum_sum(

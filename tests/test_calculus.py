@@ -109,6 +109,17 @@ class TestAntiderivativeSeries:
             for n in range(1, N):
                 assert centered_diff1(F, n, a) == pytest.approx(f(n), abs=1e-12)
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 64])
+    def test_antiderivative_matches_series_at_every_site(self, N):
+        # the cumulative sum adds in another order: allow a few ulps of the absolute sum
+        rng = np.random.default_rng(N)
+        a = 0.7
+        f = LatticeFunction(rng.normal(size=N + 1))
+        F = antiderivative(f, a)
+        tol = 4 * (N + 1) * np.finfo(float).eps * 2 * a * np.sum(np.abs(f.values))
+        for n in range(N + 1):
+            assert abs(F(n) - antiderivative_series(f, n, a)) <= tol
+
 
 class TestDefiniteIntegral:
     def test_unit_function_even_n(self):

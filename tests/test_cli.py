@@ -28,6 +28,12 @@ GOLDEN_ARGS = {
 }
 
 
+def cli_env():
+    """The environment for a child interpreter that imports latticewell from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out = capsys.readouterr().out
@@ -111,6 +117,40 @@ class TestParseConfig:
         assert cfg.beta is None
         assert cfg.T == 300.0
 
+    @pytest.mark.parametrize("argv, line", [
+        (["converge", "--L", "1", "--natural", "--sweep", "50:400:2:log", "--beta", "1"], "quantity = foo"),
+        (["spectrum", "--N", "4"], "output = xml"),
+        (["density-matrix", "--N", "4", "--beta", "1"], "normalized = maybe"),
+        (["spectrum", "--N", "4"], "normalized = no"),
+        (["spectrum"], "N = 2.5"),
+        (["spectrum", "--N", "4"], "sweep = 1:2:3:log"),
+        (["converge", "--L", "1", "--sweep", "50:400:2:log"], "qua = energy"),
+        (["spectrum", "--N", "4"], "config = x"),
+    ], ids=["bad-choice", "bad-output", "bad-boolean", "key-of-other-command", "non-integer",
+            "sweep-on-spectrum", "abbreviated-key", "nested-config"])
+    def test_config_file_values_that_must_fail(self, argv, line, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert main(argv + ["--config", str(conf)]) == 2
+
+    @pytest.mark.parametrize("argv", list(GOLDEN_ARGS.values()) + [
+        ["partition", "--SI", "--L", "1e-8", "--T", "300", "--m-star", "2e-31", "--k-B", "1.4e-23"],
+        ["wavefunction", "--N", "8", "--n-E", "3", "--SI", "--a", "1e-10", "--hbar", "1e-34"],
+        ["density-matrix", "--N", "5", "--beta", "2", "--normalized", "--output", "json"],
+    ], ids=list(GOLDEN_ARGS) + ["si-constants", "si-wavefunction", "normalized-json"])
+    @pytest.mark.parametrize("spelling", ["underscore", "dash"])
+    def test_config_file_matches_flags(self, argv, spelling, tmp_path):
+        # keys: m_star/k_B/n_E and si, or m-star/k-B/n-E and SI; booleans as words
+        lines, rest = [], argv[1:]
+        while rest:
+            key = rest.pop(0)[2:]
+            key = key.replace("-", "_").replace("SI", "si") if spelling == "underscore" else key
+            value = rest.pop(0) if rest and not rest[0].startswith("--") else "yes"
+            lines.append(f"{key} = {value}")
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n".join(lines) + "\n")
+        assert parse_config([argv[0], "--config", str(conf)]) == parse_config(argv)
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -119,6 +159,10 @@ class TestExitStatuses:
     def test_domain_error_small_n_heat_capacity(self, capsys):
         assert main(["heat-capacity", "--N", "4", "--natural", "--T", "1"]) == 3
         assert "domain error" in capsys.readouterr().err
+
+    def test_heat_capacity_zero_beta_is_config_error(self, capsys):
+        assert main(["heat-capacity", "--N", "6", "--natural", "--beta", "0"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_domain_error_bad_mode(self, capsys):
         assert main(["wavefunction", "--N", "5", "--n-E", "7", "--natural"]) == 3
@@ -230,12 +274,30 @@ class TestOutput:
         assert target.read_text() == stdout_version
 
     def test_module_entry_point(self):
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "latticewell.cli", "spectrum", "--N", "4", "--natural"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("n_E,e_tilde,E,E_continuum,rel_error")
+
+    def test_unwritable_out_path_is_config_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "latticewell.cli", "spectrum", "--N", "4", "--natural", "--out", str(target)],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # 90,601 rows, far more than a pipe buffer: the writes meet the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latticewell.cli", "density-matrix", "--N", "300", "--beta", "1", "--natural"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+        )
+        assert proc.stdout.readline() == "n,n_prime,rho\n"
+        proc.stdout.close()
+        stderr = proc.communicate(timeout=60)[1]
+        assert proc.returncode == 1
+        assert "Traceback" not in stderr and stderr.count("\n") == 1

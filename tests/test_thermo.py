@@ -229,6 +229,17 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             PartitionResult(2.0, "discrete_sum", 0.0).free_energy
 
+    def test_underflowed_discrete_partition(self):
+        # Z underflows to 0 at beta = 1e5; ln Z from the ground state up does not
+        spec = spectrum_for(6)
+        beta = 1e5
+        res = partition_discrete(spec, beta)
+        E = spec.energies.tolist()
+        E0 = min(E)
+        expected = E0 - math.log(math.fsum(math.exp(-beta * (e - E0)) for e in E)) / beta
+        assert res.Z == 0.0
+        assert res.free_energy == pytest.approx(expected, rel=1e-12)
+
     def test_convexity_of_log_partition(self):
         # ln Z decreasing and convex in beta (finite differences)
         spec = spectrum_for(9)
