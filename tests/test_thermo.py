@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewell import (
     LatticeSpec,
@@ -24,6 +26,7 @@ from latticewell import (
     theta_argument,
     two_level_model,
 )
+from latticewell.thermo import SERIES_CAP, SERIES_RTOL, _gaussian_series
 
 NATURAL = ParticleSpec.natural()
 
@@ -42,6 +45,20 @@ def spectrum_for(N, a=1.0):
 def beta_for_mu(mu, L=1.0):
     # natural units: mu = beta * pi^2 / (2 L^2)
     return mu * 2.0 * L * L / math.pi ** 2
+
+
+EPS = np.finfo(float).eps
+
+
+def _gaussian_series_reference(c):
+    """The per-term loop: libm exp, sequential sum, same stop rule and cap."""
+    total = 0.0
+    for n in range(1, SERIES_CAP + 1):
+        term = math.exp(-c * n * n)
+        total += term
+        if term <= SERIES_RTOL * total:
+            return total
+    raise SeriesCapExceeded(c)
 
 
 class TestPartitionDiscrete:
@@ -85,12 +102,6 @@ class TestPartitionContinuum:
         assert res.mu == pytest.approx(1.0, rel=1e-14)
         assert res.Z == pytest.approx(0.3863186024133261, rel=1e-13)
 
-    def test_explicit_cutoff(self):
-        beta = beta_for_mu(1.0)
-        assert partition_continuum_sum(1.0, NATURAL, beta, cutoff=6).Z == pytest.approx(
-            0.3863186024133261, rel=1e-13
-        )
-
     def test_electron_example(self):
         res = partition_continuum_sum(L_WELL, ELECTRON, BETA_300K)
         assert res.mu == pytest.approx(0.1453657, abs=2e-6)
@@ -99,6 +110,17 @@ class TestPartitionContinuum:
     def test_decreasing_in_beta(self):
         zs = [partition_continuum_sum(1.0, NATURAL, b).Z for b in (0.01, 0.05, 0.2, 1.0)]
         assert all(z1 > z2 for z1, z2 in zip(zs, zs[1:]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        log_mu=st.floats(min_value=-10.0, max_value=math.log10(20.0)),
+        rel_step=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    def test_strictly_decreasing_in_beta_property(self, log_mu, rel_step):
+        # mu in [1e-10, 20] spans head-only series and long NumPy-tail series
+        b1 = beta_for_mu(10.0 ** log_mu)
+        b2 = b1 * (1.0 + rel_step)
+        assert partition_continuum_sum(1.0, NATURAL, b1).Z > partition_continuum_sum(1.0, NATURAL, b2).Z
 
     def test_closed_form_electron(self):
         res = partition_continuum_closed(L_WELL, ELECTRON, BETA_300K)
@@ -145,6 +167,15 @@ class TestTheta:
             p = theta3_poisson(float(mu))
             assert abs(d - p) <= 1e-12 * d
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_mu=st.floats(min_value=-10.0, max_value=math.log10(20.0)))
+    def test_poisson_identity_property(self, log_mu):
+        # a sequential sum of n positive terms is within ~n eps of exact
+        mu = 10.0 ** log_mu
+        n_terms = math.ceil(math.sqrt(37.0 / mu))
+        d = theta3(mu)
+        assert abs(d - theta3_poisson(mu)) <= (n_terms + 4) * EPS * d
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             theta3(0.0)
@@ -165,6 +196,32 @@ class TestTheta:
             zc = partition_continuum_closed(1.0, NATURAL, beta).Z
             zt = partition_theta(1.0, NATURAL, beta).Z
             assert zc - zt == pytest.approx(0.5, abs=1e-4)
+
+
+class TestGaussianSeries:
+    """The blocked kernel against the per-term loop it replaced."""
+
+    def test_head_series_equal_reference(self):
+        # series that stop within the libm head are bit-identical, which keeps
+        # the goldens; the four partition.csv betas at N = 6 among them
+        golden = [theta_argument(6.0, NATURAL, float(b)) for b in np.linspace(0.5, 4.0, 4)]
+        for c in [*np.geomspace(0.01, 50.0, 40).tolist(), *golden]:
+            assert _gaussian_series(c) == _gaussian_series_reference(c)
+
+    def test_long_series_within_16_eps(self):
+        # np.exp is within 1 ulp of libm's exp, and the sum order is the same
+        for c in np.geomspace(1e-10, 10.0, 41).tolist():
+            ref = _gaussian_series_reference(c)
+            assert abs(_gaussian_series(c) - ref) <= 16 * EPS * ref
+
+    def test_cap_decision_matches_reference(self):
+        # the 1e6-term cap falls at c ~ 2.47511e-11
+        inside, outside = 2.4752e-11, 2.4750e-11
+        ref = _gaussian_series_reference(inside)
+        assert abs(_gaussian_series(inside) - ref) <= 16 * EPS * ref
+        for fn in (_gaussian_series, _gaussian_series_reference):
+            with pytest.raises(SeriesCapExceeded):
+                fn(outside)
 
 
 class TestMeanEnergy:
