@@ -32,7 +32,6 @@ from .spectrum import (
     ParticleSpec,
     SpectralMode,
     Spectrum,
-    boltzmann_constant,
     build_hamiltonian_matrix,
     build_spectrum,
     continuum_limit_error,
@@ -47,7 +46,6 @@ from .spectrum import (
 from .thermo import (
     PartitionResult,
     SeriesCapExceeded,
-    TwoLevelModel,
     characteristic_temperature,
     heat_capacity_two_level,
     mean_energy,
@@ -59,55 +57,4 @@ from .thermo import (
     theta3,
     theta3_poisson,
     theta_argument,
-    two_level_model,
 )
-
-__all__ = [
-    "__version__",
-    "DensityMatrix",
-    "HBAR_SI",
-    "K_B_SI",
-    "LatticeFunction",
-    "LatticeSpec",
-    "ParticleSpec",
-    "PartitionResult",
-    "SeriesCapExceeded",
-    "SingularQuadrature",
-    "SpectralMode",
-    "Spectrum",
-    "TwoLevelModel",
-    "antiderivative",
-    "antiderivative_series",
-    "boltzmann_constant",
-    "build_hamiltonian_matrix",
-    "build_spectrum",
-    "centered_diff1",
-    "centered_diff2",
-    "characteristic_temperature",
-    "closed_form_antiderivative",
-    "continuum_limit_error",
-    "definite_integral",
-    "density_matrix_continuum",
-    "density_matrix_normalized",
-    "density_matrix_spectral",
-    "dimensionless_energy",
-    "eigenfunction",
-    "energy_continuum",
-    "energy_discrete",
-    "heat_capacity_two_level",
-    "mean_energy",
-    "mean_energy_continuum",
-    "numeric_spectrum",
-    "partition_continuum_closed",
-    "partition_continuum_sum",
-    "partition_discrete",
-    "partition_theta",
-    "propagate_bloch",
-    "sin_pi_ratio",
-    "sine_mode_matrix",
-    "theta3",
-    "theta3_poisson",
-    "theta_argument",
-    "trace_integral",
-    "two_level_model",
-]

@@ -33,7 +33,6 @@ class DensityMatrix:
     rho: np.ndarray
     lattice: LatticeSpec
     beta: float
-    normalized: bool = False
 
     def __post_init__(self):
         expected = self.lattice.N + 1
@@ -65,7 +64,7 @@ def density_matrix_normalized(dm: DensityMatrix, Z: float) -> DensityMatrix:
     """Divide by the partition function so the trace integral is unity (odd N)."""
     if Z <= 0:
         raise ValueError(f"partition function must be positive, got {Z!r}")
-    return DensityMatrix(dm.rho / Z, dm.lattice, dm.beta, normalized=True)
+    return DensityMatrix(dm.rho / Z, dm.lattice, dm.beta)
 
 
 def trace_integral(dm: DensityMatrix) -> float:

@@ -511,7 +511,7 @@ def main(argv=None) -> int:
     except SeriesCapExceeded as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # e.g. a^2 or a step underflowing to 0
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError as exc:

@@ -48,11 +48,6 @@ class ParticleSpec:
         return self.hbar * self.hbar / (2.0 * self.m_star * a * a)
 
 
-def boltzmann_constant(particle: ParticleSpec) -> float:
-    """Default k_B for the particle's unit system (1 in natural units)."""
-    return 1.0 if particle.unit_mode == "natural" else K_B_SI
-
-
 def sin_pi_ratio(k, N: int):
     """sin(pi k / N) for an integer k or integer array k, exact at multiples of N.
 

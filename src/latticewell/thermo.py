@@ -3,8 +3,10 @@
 Four routes to Z: the discrete sum over the N-1 lattice modes, the continuum
 sum over parabolic levels, its closed Gaussian-integral form
 L sqrt(m*/2 pi beta hbar^2), and the theta-function form (theta3(mu) - 1)/2
-with mu = beta hbar^2 pi^2 / (2 m* L^2).  Mean energy, free energy, and the
-two-level (Schottky) heat-capacity model derive from these.
+with mu = beta hbar^2 pi^2 / (2 m* L^2).  The theta form sums the same series
+as the continuum sum, so it is not an independent route (see partition_theta).
+Mean energy, free energy, and the two-level (Schottky) heat capacity derive
+from these.
 """
 
 import math
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ParticleSpec, Spectrum, boltzmann_constant
+from .spectrum import K_B_SI, ParticleSpec, Spectrum
 
 #: Relative size at which a series term stops the summation.
 SERIES_RTOL = 1e-16
@@ -23,11 +25,6 @@ SERIES_CAP = 10 ** 6
 _SERIES_HEAD = 64
 _SERIES_BLOCK_CAP = 8192
 
-DISCRETE_SUM = "discrete_sum"
-CONTINUUM_SUM = "continuum_sum"
-CONTINUUM_CLOSED = "continuum_closed"
-THETA = "theta"
-
 
 class SeriesCapExceeded(RuntimeError):
     """An infinite-series evaluation hit the term cap before converging."""
@@ -35,14 +32,13 @@ class SeriesCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Partition function value with its evaluation method and derived F.
+    """Partition function value with its derived F.
 
     ``log_Z`` is ln Z where the route computes it apart from Z, so that it
     survives an underflowed Z; when it is None, ln Z is taken from Z.
     """
 
     Z: float
-    method: str
     beta: float
     mu: float | None = None
     log_Z: float | None = None
@@ -113,7 +109,7 @@ def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
     Z = float(np.sum(np.exp(-beta * E)))
     E0 = float(E.min())
     log_Z = -beta * E0 + math.log(float(np.sum(np.exp(-beta * (E - E0)))))
-    return PartitionResult(Z, DISCRETE_SUM, beta, log_Z=log_Z)
+    return PartitionResult(Z, beta, log_Z=log_Z)
 
 
 def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
@@ -121,7 +117,7 @@ def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> Pa
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
-    return PartitionResult(_gaussian_series(mu), CONTINUUM_SUM, beta, mu)
+    return PartitionResult(_gaussian_series(mu), beta, mu)
 
 
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
@@ -130,7 +126,7 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
         raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
     Z = L * math.sqrt(particle.m_star / (2.0 * math.pi * beta * particle.hbar ** 2))
-    return PartitionResult(Z, CONTINUUM_CLOSED, beta, mu)
+    return PartitionResult(Z, beta, mu)
 
 
 def theta3(mu: float) -> float:
@@ -149,30 +145,33 @@ def theta3_poisson(mu: float) -> float:
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Continuum partition function as (theta3(mu) - 1) / 2."""
+    """Continuum partition function as (theta3(mu) - 1) / 2.
+
+    Not independent of partition_continuum_sum: theta3 sums the same
+    _gaussian_series, so the two agree by construction.  That series is
+    cross-checked against theta3_poisson instead.
+    """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
-    return PartitionResult(0.5 * (theta3(mu) - 1.0), THETA, beta, mu)
+    return PartitionResult(0.5 * (theta3(mu) - 1.0), beta, mu)
 
 
-def mean_energy(spectrum: Spectrum, beta: float, zero_beta_limit: bool = False) -> float:
+def mean_energy(spectrum: Spectrum, beta: float) -> float:
     """Thermal mean energy -d ln Z / d beta of the discrete spectrum.
 
-    The Boltzmann weights degenerate to 0/0 at beta = 0; pass
-    zero_beta_limit=True for the unweighted spectral mean instead.
+    The weights are shifted to the ground state, so they stay finite at
+    large beta and are all 1 at beta = 0, where this is the spectral mean.
     """
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta!r}")
     E = spectrum.energies
-    if zero_beta_limit:
-        return float(np.mean(E))
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
     E0 = float(E.min())
     w = np.exp(-beta * (E - E0))
     return E0 + float(np.sum((E - E0) * w) / np.sum(w))
 
 
-def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float, rel_step: float = 1e-4) -> float:
+def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> float:
     """-d ln Z / d beta of the closed continuum form, by central difference.
 
     Analytically this is 1/(2 beta) (equipartition); the finite difference
@@ -180,39 +179,21 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float, rel_ste
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    h = rel_step * beta
+    h = 1e-4 * beta
     zp = partition_continuum_closed(L, particle, beta + h).Z
     zm = partition_continuum_closed(L, particle, beta - h).Z
     return -(math.log(zp) - math.log(zm)) / (2.0 * h)
 
 
-def _lowest_pair(spectrum: Spectrum) -> tuple[float, float]:
+def characteristic_temperature(spectrum: Spectrum, k_B: float | None = None) -> float:
+    """Theta = |E1 - E2| / (2 k_B), x = Theta / T; k_B defaults to 1 (natural) or K_B_SI (SI)."""
     if spectrum.lattice.N < 5:
         raise ValueError(
             f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}"
         )
-    return spectrum.mode(1).energy, spectrum.mode(2).energy
-
-
-@dataclass(frozen=True)
-class TwoLevelModel:
-    """Lowest two modes with their gap and characteristic temperature."""
-
-    E1: float
-    E2: float
-    delta_E: float
-    theta_char: float
-
-
-def two_level_model(spectrum: Spectrum, k_B: float | None = None) -> TwoLevelModel:
-    E1, E2 = _lowest_pair(spectrum)
-    kb = boltzmann_constant(spectrum.particle) if k_B is None else k_B
-    return TwoLevelModel(E1, E2, E1 - E2, abs(E1 - E2) / (2.0 * kb))
-
-
-def characteristic_temperature(spectrum: Spectrum, k_B: float | None = None) -> float:
-    """Theta = |E1 - E2| / (2 k_B), so that x = Theta / T in the heat capacity."""
-    return two_level_model(spectrum, k_B).theta_char
+    if k_B is None:
+        k_B = 1.0 if spectrum.particle.unit_mode == "natural" else K_B_SI
+    return abs(spectrum.mode(1).energy - spectrum.mode(2).energy) / (2.0 * k_B)
 
 
 def heat_capacity_two_level(spectrum: Spectrum, T: float, k_B: float | None = None) -> float:
@@ -222,7 +203,7 @@ def heat_capacity_two_level(spectrum: Spectrum, T: float, k_B: float | None = No
     """
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T!r}")
-    x = two_level_model(spectrum, k_B).theta_char / T
+    x = characteristic_temperature(spectrum, k_B) / T
     if x > 700:  # cosh would overflow; the value is already below 1e-600
         return 0.0
     r = x / math.cosh(x)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewell import (
     LatticeSpec,
@@ -73,6 +75,22 @@ class TestSpectralConstruction:
             eigs = np.linalg.eigvalsh(dm.rho[1:N, 1:N])
             assert eigs[0] >= -1e-10 * eigs[-1]
 
+    @settings(deadline=None, derandomize=True)
+    @given(
+        N=st.integers(min_value=2, max_value=80),
+        a=st.floats(min_value=1e-2, max_value=10.0),
+        log_beta_eps0=st.floats(min_value=-3.0, max_value=2.0),
+    )
+    def test_symmetric_psd_and_trace_property(self, N, a, log_beta_eps0):
+        spec = spectrum_for(N, a)
+        beta = 10.0 ** log_beta_eps0 / spec.epsilon0
+        dm = density_matrix_spectral(spec, beta)
+        assert np.array_equal(dm.rho, dm.rho.T)
+        scale = np.max(np.abs(dm.rho))
+        assert np.linalg.eigvalsh(dm.rho)[0] >= -(N + 1) * np.finfo(float).eps * scale
+        if N % 2:
+            assert trace_integral(dm) == pytest.approx(partition_discrete(spec, beta).Z, rel=1e-12)
+
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             density_matrix_spectral(spectrum_for(5), -0.5)
@@ -83,7 +101,6 @@ class TestNormalization:
         dm = density_matrix_spectral(spectrum_for(7), 2.0)
         dm2 = density_matrix_normalized(dm, 1.0)
         assert np.array_equal(dm.rho, dm2.rho)
-        assert dm2.normalized
 
     def test_unit_trace_odd_n(self):
         spec = spectrum_for(5)

@@ -190,6 +190,18 @@ class TestExitStatuses:
         assert main([arg.format(conf=conf) for arg in argv]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--N", "5", "--a", "1e-170"],
+        ["partition", "--N", "6", "--L", "1e-170", "--beta", "1"],
+        ["mean-energy", "--N", "6", "--beta", "1e-320"],
+        ["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"],
+    ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L"])
+    def test_arithmetic_underflow_is_domain_error(self, argv, capsys):
+        # a^2, L^2 or the finite-difference step underflows to 0 and is divided by
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and "Traceback" not in err
+
     def test_underflowed_partition_prints_zero(self, capsys):
         # Z underflows at beta = 1e5; F comes from the closed form, which does not
         code, out = run_cli(["partition", "--N", "6", "--natural", "--beta", "1e5"], capsys)

@@ -24,7 +24,6 @@ from latticewell import (
     theta3,
     theta3_poisson,
     theta_argument,
-    two_level_model,
 )
 from latticewell.thermo import SERIES_CAP, SERIES_RTOL, _gaussian_series
 
@@ -89,7 +88,6 @@ class TestPartitionDiscrete:
     def test_result_fields(self):
         spec = spectrum_for(6)
         res = partition_discrete(spec, 2.0)
-        assert res.method == "discrete_sum"
         assert res.mu is None
         assert res.free_energy == pytest.approx(-math.log(res.Z) / 2.0)
 
@@ -114,12 +112,12 @@ class TestPartitionContinuum:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         log_mu=st.floats(min_value=-10.0, max_value=math.log10(20.0)),
-        rel_step=st.floats(min_value=1e-6, max_value=10.0),
+        step=st.floats(min_value=1e-6, max_value=10.0),
     )
-    def test_strictly_decreasing_in_beta_property(self, log_mu, rel_step):
+    def test_strictly_decreasing_in_beta_property(self, log_mu, step):
         # mu in [1e-10, 20] spans head-only series and long NumPy-tail series
         b1 = beta_for_mu(10.0 ** log_mu)
-        b2 = b1 * (1.0 + rel_step)
+        b2 = b1 * (1.0 + step)
         assert partition_continuum_sum(1.0, NATURAL, b1).Z > partition_continuum_sum(1.0, NATURAL, b2).Z
 
     def test_closed_form_electron(self):
@@ -226,8 +224,9 @@ class TestGaussianSeries:
 
 class TestMeanEnergy:
     def test_zero_beta_limit_n4(self):
+        # all weights are 1 at beta = 0: the unweighted spectral mean
         spec = spectrum_for(4)
-        assert mean_energy(spec, 0.0, zero_beta_limit=True) == pytest.approx(
+        assert mean_energy(spec, 0.0) == pytest.approx(
             (2.0 / 3.0) * spec.epsilon0, rel=1e-15
         )
 
@@ -253,9 +252,9 @@ class TestMeanEnergy:
             1.0 / (2 * beta), rel=1e-4
         )
 
-    def test_rejects_nonpositive_beta(self):
+    def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            mean_energy(spectrum_for(5), 0.0)
+            mean_energy(spectrum_for(5), -0.5)
         with pytest.raises(ValueError):
             mean_energy_continuum(1.0, NATURAL, -1.0)
 
@@ -271,20 +270,20 @@ class TestMeanEnergy:
 
 class TestFreeEnergy:
     def test_unit_partition(self):
-        assert PartitionResult(1.0, "discrete_sum", 2.0).free_energy == 0.0
+        assert PartitionResult(1.0, 2.0).free_energy == 0.0
 
     def test_e_partition(self):
-        res = PartitionResult(math.e, "discrete_sum", 2.0)
+        res = PartitionResult(math.e, 2.0)
         assert res.free_energy == pytest.approx(-0.5, rel=1e-15)
 
     def test_electron_value(self):
         # F = -k_B T ln Z at Z = 1.8245, T = 300 K, scalar oracle
-        res = PartitionResult(1.8245, "continuum_sum", BETA_300K)
+        res = PartitionResult(1.8245, BETA_300K)
         assert res.free_energy == pytest.approx(-2.4894067443426725e-21, rel=1e-12)
 
     def test_rejects_zero_beta(self):
         with pytest.raises(ValueError):
-            PartitionResult(2.0, "discrete_sum", 0.0).free_energy
+            PartitionResult(2.0, 0.0).free_energy
 
     def test_underflowed_discrete_partition(self):
         # Z underflows to 0 at beta = 1e5; ln Z from the ground state up does not
@@ -312,14 +311,7 @@ class TestTwoLevel:
     def test_rejects_small_lattices(self):
         for N in (2, 3, 4):
             with pytest.raises(ValueError):
-                two_level_model(spectrum_for(N))
-
-    def test_model_fields(self):
-        spec = spectrum_for(6)
-        model = two_level_model(spec)
-        assert model.E2 > model.E1
-        assert model.delta_E == model.E1 - model.E2 < 0
-        assert model.theta_char == pytest.approx(0.25 * spec.epsilon0, rel=1e-14)
+                characteristic_temperature(spectrum_for(N))
 
 
 class TestHeatCapacity:
