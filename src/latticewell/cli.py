@@ -3,7 +3,11 @@
 Subcommands: spectrum, wavefunction, density-matrix, partition, mean-energy,
 heat-capacity, converge.  Identical configurations produce byte-identical
 output; numbers are written with 17 significant digits so either format
-round-trips exactly.
+round-trips exactly.  A JSON document holds four objects: ``columns`` and
+``rows`` are the CSV table; ``config`` holds the command and its options as
+parsed from flags and config file, null where an option was not given (the
+sweep as its text); ``meta`` holds the package version, the unit mode and the
+m_star, hbar and k_B the run used.
 
 A ``--config`` file holds ``key = value`` lines (``#`` starts a comment).
 Keys are the subcommand's long flag names without the dashes, with ``_`` and
@@ -89,12 +93,13 @@ def finite(text: str) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter sweep start:stop:points:scale (scale linear or log)."""
+    """Parameter sweep start:stop:points:scale (scale linear or log), and that text."""
 
     start: float
     stop: float
     points: int
     scale: str
+    text: str
 
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
@@ -115,7 +120,7 @@ class SweepSpec:
             raise ConfigError(f"sweep needs at least 2 points, got {points}")
         if not start > 0 or not stop > start:
             raise ConfigError(f"sweep needs 0 < start < stop, got {text!r}")
-        return cls(start, stop, points, scale)
+        return cls(start, stop, points, scale, text)
 
     def values(self) -> list[float]:
         k = self.points - 1
@@ -124,35 +129,14 @@ class SweepSpec:
         lg0, lg1 = math.log10(self.start), math.log10(self.stop)
         return [10.0 ** (lg0 + (lg1 - lg0) * i / k) for i in range(self.points)]
 
-    def text(self) -> str:
-        return f"{self.start:g}:{self.stop:g}:{self.points}:{self.scale}"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    N: int | None
-    a: float | None
-    L: float | None
-    unit_mode: str
-    m_star: float
-    hbar: float
-    k_B: float
-    beta: float | None
-    T: float | None
-    sweep: SweepSpec | None
-    n_E: int
-    quantity: str
-    normalized: bool
-    output: str
-    out: str | None
-
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one option table, built on first use so that importing the module stays cheap."""
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--N", type=int, help="number of lattice spacings (sites 0..N)")
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--N", type=int, help="number of lattice spacings (sites 0..N)")
     geom = common.add_mutually_exclusive_group()
     geom.add_argument("--a", type=finite, help="lattice spacing")
     geom.add_argument("--L", type=finite, help="well width (spacing derived as L/N)")
@@ -178,21 +162,18 @@ def _parser() -> argparse.ArgumentParser:
         prog="latticewell",
         description="Hard-wall well on a lattice: spectra, density matrices, partition functions.",
     )
-    # n_E and quantity also reach the RunConfig of the commands without these options;
-    # where a command has one, its SUPPRESS default leaves this value in place.
-    parser.set_defaults(n_E=1, quantity="energy")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="all N-1 modes with continuum comparison")
-    p = sub.add_parser("wavefunction", parents=[common], help="one normalized eigenfunction")
-    p.add_argument("--n-E", type=int, default=argparse.SUPPRESS, help="principal quantum number (default 1)")
-    p = sub.add_parser("density-matrix", parents=[common, thermal], help="spectral density matrix at beta")
+    sub.add_parser("spectrum", parents=[sized, common], help="all N-1 modes with continuum comparison")
+    p = sub.add_parser("wavefunction", parents=[sized, common], help="one normalized eigenfunction")
+    p.add_argument("--n-E", type=int, default=1, help="principal quantum number (default 1)")
+    p = sub.add_parser("density-matrix", parents=[sized, common, thermal], help="spectral density matrix at beta")
     p.add_argument("--normalized", action="store_true", help="divide by the discrete partition function")
-    sub.add_parser("partition", parents=[common, thermal, swept], help="Z by all four methods")
-    sub.add_parser("mean-energy", parents=[common, thermal, swept], help="discrete and continuum mean energy")
-    sub.add_parser("heat-capacity", parents=[common, thermal, swept], help="two-level heat capacity curve")
+    sub.add_parser("partition", parents=[sized, common, thermal, swept], help="Z by all four methods")
+    sub.add_parser("mean-energy", parents=[sized, common, thermal, swept], help="discrete and continuum mean energy")
+    sub.add_parser("heat-capacity", parents=[sized, common, thermal, swept], help="two-level heat capacity curve")
     p = sub.add_parser("converge", parents=[common, thermal, swept], help="lattice-to-continuum convergence over N")
-    p.add_argument("--n-E", type=int, default=argparse.SUPPRESS, help="mode tracked by quantity=energy (default 1)")
-    p.add_argument("--quantity", choices=("energy", "partition"), default=argparse.SUPPRESS,
+    p.add_argument("--n-E", type=int, default=1, help="mode tracked by quantity=energy (default 1)")
+    p.add_argument("--quantity", choices=("energy", "partition"), default="energy",
                    help="quantity to converge (default energy)")
     return parser
 
@@ -235,12 +216,12 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     return flags
 
 
-def _require_positive(name: str, value) -> None:
-    if value is not None and not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value!r}")
+def parse_config(argv=None) -> argparse.Namespace:
+    """The command's options, checked: flags over config-file lines, None where not given.
 
-
-def parse_config(argv=None) -> RunConfig:
+    ``config`` is cleared once its lines are read, so a config file and the
+    flags it holds give equal namespaces.
+    """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
@@ -248,100 +229,85 @@ def parse_config(argv=None) -> RunConfig:
     if args.config:
         # argv[0] is the command: the top-level parser has no other arguments.
         args = parser.parse_args([command, *_config_flags(args.config, args), *argv[1:]])
+        args.config = None
 
-    unit_mode = "SI" if args.si else "natural"
-    m_star, hbar, k_B = args.m_star, args.hbar, args.k_B
-    if unit_mode == "natural":
-        if m_star is not None or hbar is not None or k_B is not None:
-            raise ConfigError("natural units fix m-star = hbar = k-B = 1; use --SI to override")
-        m_star, hbar, k_B = 1.0, 1.0, 1.0
-    else:
-        m_star = M_STAR_SI_DEFAULT if m_star is None else m_star
-        hbar = HBAR_SI if hbar is None else hbar
-        k_B = K_B_SI if k_B is None else k_B
-    for name, value in (("m-star", m_star), ("hbar", hbar), ("k-B", k_B)):
-        _require_positive(name, value)
-
-    N, a, L = args.N, args.a, args.L
-    _require_positive("a", a)
-    _require_positive("L", L)
-    if command == "converge":
-        if L is None:
-            raise ConfigError("converge holds the width fixed: give --L, not --a")
-    elif command in ("partition", "mean-energy") and N is None:
-        # continuum-only run: the discrete columns are emitted as nan
-        if L is None:
-            raise ConfigError("without --N the continuum needs --L")
-    else:
-        if N is None:
-            raise ConfigError("--N is required")
-        if N < 2:
-            raise ConfigError(f"N must be >= 2, got {N}")
-        if a is None and L is None:
-            a = 1.0
-
+    if not args.si and (args.m_star, args.hbar, args.k_B) != (None, None, None):
+        raise ConfigError("natural units fix m-star = hbar = k-B = 1; use --SI to override")
+    for dest in ("m_star", "hbar", "k_B", "a", "L", "T"):
+        value = getattr(args, dest, None)
+        if value is not None and not value > 0:
+            raise ConfigError(f"{dest.replace('_', '-')} must be positive, got {value!r}")
     beta = getattr(args, "beta", None)
-    T = getattr(args, "T", None)
-    _require_positive("T", T)
     if beta is not None and beta < 0:
         raise ConfigError(f"beta must be >= 0, got {beta!r}")
+    if beta == 0 and command != "density-matrix":
+        raise ConfigError(f"{command} needs beta > 0")
 
+    N = getattr(args, "N", None)
     sweep = getattr(args, "sweep", None)
-    thermal_given = beta is not None or T is not None
+    thermal_given = beta is not None or getattr(args, "T", None) is not None
+    if command == "converge":
+        if args.L is None:
+            raise ConfigError("converge holds the width fixed: give --L, not --a")
+        if sweep is None:
+            raise ConfigError("converge needs --sweep over N")
+        N0 = round(sweep.values()[0])  # the smallest N that _cmd_converge builds
+        if N0 < 2:
+            raise ConfigError(f"converge needs N >= 2, but sweep {sweep.text} starts at N = {N0}")
+        if args.quantity == "partition" and not thermal_given:
+            raise ConfigError("quantity=partition needs --beta or --T")
+    elif N is None:
+        if command not in ("partition", "mean-energy"):
+            raise ConfigError("--N is required")
+        if args.L is None:  # continuum-only run: the discrete columns are emitted as nan
+            raise ConfigError("without --N the continuum needs --L")
+    elif N < 2:
+        raise ConfigError(f"N must be >= 2, got {N}")
+
     if command in ("partition", "mean-energy", "heat-capacity"):
         if sweep is not None and thermal_given:
             raise ConfigError("give either --beta/--T or --sweep, not both")
         if sweep is None and not thermal_given:
             raise ConfigError("give --beta, --T, or --sweep")
-        if beta == 0:
-            raise ConfigError(f"{command} needs beta > 0")
-    elif command == "density-matrix":
-        if not thermal_given:
-            raise ConfigError("give --beta or --T")
-    elif command == "converge":
-        if sweep is None:
-            raise ConfigError("converge needs --sweep over N")
-
-    if args.n_E < 1:
+    elif command == "density-matrix" and not thermal_given:
+        raise ConfigError("give --beta or --T")
+    if getattr(args, "n_E", 1) < 1:
         raise ConfigError(f"n-E must be >= 1, got {args.n_E}")
-    if command == "converge" and args.quantity == "partition" and not thermal_given:
-        raise ConfigError("quantity=partition needs --beta or --T")
+    return args
 
-    return RunConfig(
-        command=command, N=N, a=a, L=L, unit_mode=unit_mode,
-        m_star=m_star, hbar=hbar, k_B=k_B, beta=beta, T=T, sweep=sweep,
-        n_E=args.n_E, quantity=args.quantity, normalized=getattr(args, "normalized", False),
-        output=args.output, out=args.out,
+
+def _particle(args: argparse.Namespace) -> ParticleSpec:
+    """Natural units, or SI with the default of each constant not given."""
+    if not args.si:
+        return ParticleSpec.natural()
+    return ParticleSpec.si(
+        M_STAR_SI_DEFAULT if args.m_star is None else args.m_star,
+        HBAR_SI if args.hbar is None else args.hbar,
+        K_B_SI if args.k_B is None else args.k_B,
     )
 
 
-def _particle(cfg: RunConfig) -> ParticleSpec:
-    if cfg.unit_mode == "natural":
-        return ParticleSpec.natural()
-    return ParticleSpec.si(cfg.m_star, cfg.hbar)
+def _lattice(args: argparse.Namespace) -> LatticeSpec:
+    """N sites spaced by --a, else by L/N, else by 1."""
+    a = args.a if args.a is not None else 1.0 if args.L is None else args.L / args.N
+    return LatticeSpec(args.N, a)
 
 
-def _lattice(cfg: RunConfig, N: int | None = None) -> LatticeSpec:
-    N = cfg.N if N is None else N
-    a = cfg.a if cfg.a is not None else cfg.L / N
-    return LatticeSpec(N, a)
+def _beta_value(args: argparse.Namespace, particle: ParticleSpec) -> float:
+    if args.beta is not None:
+        return args.beta
+    return 1.0 / (particle.k_B * args.T)
 
 
-def _beta_value(cfg: RunConfig) -> float:
-    if cfg.beta is not None:
-        return cfg.beta
-    return 1.0 / (cfg.k_B * cfg.T)
+def _beta_grid(args: argparse.Namespace, particle: ParticleSpec) -> list[float]:
+    if args.sweep is not None:
+        return args.sweep.values()
+    return [_beta_value(args, particle)]
 
 
-def _beta_grid(cfg: RunConfig) -> list[float]:
-    if cfg.sweep is not None:
-        return cfg.sweep.values()
-    return [_beta_value(cfg)]
-
-
-def _cmd_spectrum(cfg: RunConfig):
-    lattice = _lattice(cfg)
-    particle = _particle(cfg)
+def _cmd_spectrum(args: argparse.Namespace):
+    lattice = _lattice(args)
+    particle = _particle(args)
     spec = build_spectrum(lattice, particle)
     return {
         "n_E": spec.n_E,
@@ -352,36 +318,37 @@ def _cmd_spectrum(cfg: RunConfig):
     }
 
 
-def _cmd_wavefunction(cfg: RunConfig):
-    lattice = _lattice(cfg)
-    spec = build_spectrum(lattice, _particle(cfg))
-    psi = eigenfunction(spec.mode(cfg.n_E), lattice)
+def _cmd_wavefunction(args: argparse.Namespace):
+    lattice = _lattice(args)
+    spec = build_spectrum(lattice, _particle(args))
+    psi = eigenfunction(spec.mode(args.n_E), lattice)
     return {"n": np.arange(lattice.N + 1), "x_n": lattice.coords(), "psi": psi.values}
 
 
-def _cmd_density_matrix(cfg: RunConfig):
-    lattice = _lattice(cfg)
-    spec = build_spectrum(lattice, _particle(cfg))
-    beta = _beta_value(cfg)
+def _cmd_density_matrix(args: argparse.Namespace):
+    lattice = _lattice(args)
+    particle = _particle(args)
+    spec = build_spectrum(lattice, particle)
+    beta = _beta_value(args, particle)
     dm = density_matrix_spectral(spec, beta)
-    if cfg.normalized:
+    if args.normalized:
         dm = density_matrix_normalized(dm, partition_discrete(spec, beta).Z)
     n = np.arange(lattice.N + 1)
     return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), "rho": dm.rho.ravel()}
 
 
-def _discrete_spectrum(cfg: RunConfig, particle: ParticleSpec):
+def _discrete_spectrum(args: argparse.Namespace, particle: ParticleSpec):
     """The lattice spectrum and width, or (None, L) for a continuum-only run."""
-    if cfg.N is None:
-        return None, cfg.L
-    lattice = _lattice(cfg)
+    if args.N is None:
+        return None, args.L
+    lattice = _lattice(args)
     return build_spectrum(lattice, particle), lattice.L
 
 
-def _cmd_partition(cfg: RunConfig):
-    particle = _particle(cfg)
-    spec, L = _discrete_spectrum(cfg, particle)
-    betas = _beta_grid(cfg)
+def _cmd_partition(args: argparse.Namespace):
+    particle = _particle(args)
+    spec, L = _discrete_spectrum(args, particle)
+    betas = _beta_grid(args, particle)
     closed = [partition_continuum_closed(L, particle, b) for b in betas]
     return {
         "beta": betas,
@@ -393,10 +360,10 @@ def _cmd_partition(cfg: RunConfig):
     }
 
 
-def _cmd_mean_energy(cfg: RunConfig):
-    particle = _particle(cfg)
-    spec, L = _discrete_spectrum(cfg, particle)
-    betas = _beta_grid(cfg)
+def _cmd_mean_energy(args: argparse.Namespace):
+    particle = _particle(args)
+    spec, L = _discrete_spectrum(args, particle)
+    betas = _beta_grid(args, particle)
     return {
         "beta": betas,
         "H_mean_discrete": [mean_energy(spec, b) if spec is not None else math.nan for b in betas],
@@ -404,36 +371,36 @@ def _cmd_mean_energy(cfg: RunConfig):
     }
 
 
-def _cmd_heat_capacity(cfg: RunConfig):
-    lattice = _lattice(cfg)
-    spec = build_spectrum(lattice, _particle(cfg))
-    theta = characteristic_temperature(spec, cfg.k_B)
-    if cfg.sweep is not None:
-        temps = cfg.sweep.values()
-    elif cfg.T is not None:
-        temps = [cfg.T]
+def _cmd_heat_capacity(args: argparse.Namespace):
+    particle = _particle(args)
+    spec = build_spectrum(_lattice(args), particle)
+    theta = characteristic_temperature(spec)
+    if args.sweep is not None:
+        temps = args.sweep.values()
+    elif args.T is not None:
+        temps = [args.T]
     else:
-        temps = [1.0 / (cfg.k_B * cfg.beta)]
+        temps = [1.0 / (particle.k_B * args.beta)]
     return {
         "T": temps,
         "x": theta / np.asarray(temps),
-        "Cv_over_R": [heat_capacity_two_level(spec, T, cfg.k_B) for T in temps],
+        "Cv_over_R": [heat_capacity_two_level(spec, T) for T in temps],
     }
 
 
-def _cmd_converge(cfg: RunConfig):
-    particle = _particle(cfg)
-    L = cfg.L
-    Ns = [int(round(v)) for v in cfg.sweep.values()]
-    if cfg.quantity == "energy":
-        value = [energy_discrete(cfg.n_E, LatticeSpec(N, L / N), particle) for N in Ns]
-        error = [continuum_limit_error(cfg.n_E, N) for N in Ns]
+def _cmd_converge(args: argparse.Namespace):
+    particle = _particle(args)
+    L = args.L
+    Ns = [int(round(v)) for v in args.sweep.values()]
+    if args.quantity == "energy":
+        value = [energy_discrete(args.n_E, LatticeSpec(N, L / N), particle) for N in Ns]
+        error = [continuum_limit_error(args.n_E, N) for N in Ns]
     else:
-        beta = _beta_value(cfg)
+        beta = _beta_value(args, particle)
         z_cont = partition_continuum_sum(L, particle, beta).Z
         value = [partition_discrete(build_spectrum(LatticeSpec(N, L / N), particle), beta).Z for N in Ns]
         error = np.abs(np.asarray(value) - z_cont)
-    return {"N": Ns, "quantity": [cfg.quantity] * len(Ns), "value": value, "error_vs_continuum": error}
+    return {"N": Ns, "quantity": [args.quantity] * len(Ns), "value": value, "error_vs_continuum": error}
 
 
 _COMMANDS = {
@@ -447,9 +414,9 @@ _COMMANDS = {
 }
 
 
-def build_table(cfg: RunConfig) -> dict:
+def build_table(args: argparse.Namespace) -> dict:
     """The configured table as ordered {column name: values} of equal length."""
-    return _COMMANDS[cfg.command](cfg)
+    return _COMMANDS[args.command](args)
 
 
 def _csv_cells(column: np.ndarray) -> list[str]:
@@ -458,43 +425,37 @@ def _csv_cells(column: np.ndarray) -> list[str]:
     return [str(v) for v in column.tolist()]
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["sweep"] = cfg.sweep.text() if cfg.sweep else None
-    return echo
-
-
-def emit(cfg: RunConfig, table: dict, stream) -> None:
+def emit(args: argparse.Namespace, table: dict, stream) -> None:
     """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document."""
     columns = [np.asarray(v) for v in table.values()]
-    if cfg.output == "csv":
+    if args.output == "csv":
         stream.write(",".join(table) + "\n")
         for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
             cells = [_csv_cells(col[start:start + EMIT_BLOCK_ROWS]) for col in columns]
             stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
         return
     doc = {
-        "config": _config_echo(cfg),
+        "config": vars(args),
         "columns": list(table),
         "rows": list(zip(*(col.tolist() for col in columns))),
-        "meta": {"version": __version__, "unit_mode": cfg.unit_mode},
+        "meta": {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))},
     }
-    stream.write(json.dumps(doc) + "\n")
+    stream.write(json.dumps(doc, default=lambda sweep: sweep.text) + "\n")
 
 
-def run(cfg: RunConfig, stream=None) -> int:
+def run(args: argparse.Namespace, stream=None) -> int:
     """Compute the configured table and write it (spec'd entry point)."""
-    table = build_table(cfg)
+    table = build_table(args)
     if stream is not None:
-        emit(cfg, table, stream)
-    elif cfg.out:
+        emit(args, table, stream)
+    elif args.out:
         try:
-            with open(cfg.out, "w", newline="") as fh:
-                emit(cfg, table, fh)
+            with open(args.out, "w", newline="") as fh:
+                emit(args, table, fh)
         except OSError as exc:
             raise ConfigError(f"cannot write --out: {exc}") from None
     else:
-        emit(cfg, table, sys.stdout)
+        emit(args, table, sys.stdout)
     return EXIT_OK
 
 

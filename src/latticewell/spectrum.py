@@ -21,27 +21,23 @@ K_B_SI = 1.38e-23    # J / K
 
 @dataclass(frozen=True)
 class ParticleSpec:
-    """Effective mass and hbar in either natural (m* = hbar = 1) or SI units."""
+    """Effective mass, hbar and k_B: all 1 in natural units, or SI values."""
 
     m_star: float = 1.0
     hbar: float = 1.0
-    unit_mode: str = "natural"
+    k_B: float = 1.0
 
     def __post_init__(self):
-        if self.unit_mode not in ("natural", "SI"):
-            raise ValueError(f"unit_mode must be 'natural' or 'SI', got {self.unit_mode!r}")
-        if self.unit_mode == "natural" and (self.m_star != 1.0 or self.hbar != 1.0):
-            raise ValueError("natural units fix m_star = hbar = 1")
-        if self.m_star <= 0 or self.hbar <= 0:
-            raise ValueError("m_star and hbar must be positive")
+        if not (self.m_star > 0 and self.hbar > 0 and self.k_B > 0):
+            raise ValueError(f"m_star, hbar and k_B must be positive, got {self}")
 
     @classmethod
     def natural(cls) -> "ParticleSpec":
         return cls()
 
     @classmethod
-    def si(cls, m_star: float, hbar: float = HBAR_SI) -> "ParticleSpec":
-        return cls(m_star, hbar, "SI")
+    def si(cls, m_star: float, hbar: float = HBAR_SI, k_B: float = K_B_SI) -> "ParticleSpec":
+        return cls(m_star, hbar, k_B)
 
     def energy_scale(self, a: float) -> float:
         """hbar^2 / (2 m* a^2), the prefactor of every lattice eigenvalue."""

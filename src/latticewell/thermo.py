@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import K_B_SI, ParticleSpec, Spectrum
+from .spectrum import ParticleSpec, Spectrum
 
 #: Relative size at which a series term stops the summation.
 SERIES_RTOL = 1e-16
@@ -185,25 +185,23 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
     return -(math.log(zp) - math.log(zm)) / (2.0 * h)
 
 
-def characteristic_temperature(spectrum: Spectrum, k_B: float | None = None) -> float:
-    """Theta = |E1 - E2| / (2 k_B), x = Theta / T; k_B defaults to 1 (natural) or K_B_SI (SI)."""
+def characteristic_temperature(spectrum: Spectrum) -> float:
+    """Theta = |E1 - E2| / (2 k_B), x = Theta / T, with the particle's k_B."""
     if spectrum.lattice.N < 5:
         raise ValueError(
             f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}"
         )
-    if k_B is None:
-        k_B = 1.0 if spectrum.particle.unit_mode == "natural" else K_B_SI
-    return abs(spectrum.mode(1).energy - spectrum.mode(2).energy) / (2.0 * k_B)
+    return abs(spectrum.mode(1).energy - spectrum.mode(2).energy) / (2.0 * spectrum.particle.k_B)
 
 
-def heat_capacity_two_level(spectrum: Spectrum, T: float, k_B: float | None = None) -> float:
+def heat_capacity_two_level(spectrum: Spectrum, T: float) -> float:
     """Two-level heat capacity C_V/R = (x / cosh x)^2 with x = |E2 - E1|/(2 k_B T).
 
     Peaks near x ~ 1.2 and vanishes in both tails (Schottky anomaly).
     """
     if T <= 0:
         raise ValueError(f"temperature must be positive, got {T!r}")
-    x = characteristic_temperature(spectrum, k_B) / T
+    x = characteristic_temperature(spectrum) / T
     if x > 700:  # cosh would overflow; the value is already below 1e-600
         return 0.0
     r = x / math.cosh(x)

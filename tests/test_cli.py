@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from latticewell.cli import ConfigError, SweepSpec, main, parse_config
+from latticewell import ParticleSpec
+from latticewell.cli import ConfigError, SweepSpec, _lattice, _particle, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -25,6 +26,12 @@ GOLDEN_ARGS = {
     "mean-energy.csv": ["mean-energy", "--N", "6", "--natural", "--beta", "1.5"],
     "heat-capacity.csv": ["heat-capacity", "--N", "6", "--natural", "--sweep", "0.01:10:12:log"],
     "converge.csv": ["converge", "--L", "1", "--natural", "--sweep", "50:400:4:log", "--n-E", "2"],
+}
+#: The golden configs plus SI constants and a boolean, for the config-file round trips.
+CONFIG_ARGS = {**GOLDEN_ARGS,
+    "si-constants": ["partition", "--SI", "--L", "1e-8", "--T", "300", "--m-star", "2e-31", "--k-B", "1.4e-23"],
+    "si-wavefunction": ["wavefunction", "--N", "8", "--n-E", "3", "--SI", "--a", "1e-10", "--hbar", "1e-34"],
+    "normalized-json": ["density-matrix", "--N", "5", "--beta", "2", "--normalized", "--output", "json"],
 }
 
 
@@ -85,15 +92,20 @@ class TestParseConfig:
 
     def test_defaults_natural(self):
         cfg = parse_config(["spectrum", "--N", "5"])
-        assert cfg.unit_mode == "natural"
-        assert cfg.a == 1.0
-        assert cfg.m_star == 1.0 and cfg.hbar == 1.0 and cfg.k_B == 1.0
+        assert not cfg.si
+        assert _lattice(cfg).a == 1.0
+        assert _particle(cfg) == ParticleSpec(m_star=1.0, hbar=1.0, k_B=1.0)
 
     def test_si_defaults(self):
         cfg = parse_config(["partition", "--SI", "--L", "1e-8", "--T", "300"])
-        assert cfg.m_star == 9.1e-31
-        assert cfg.hbar == 1.054e-34
-        assert cfg.k_B == 1.38e-23
+        particle = _particle(cfg)
+        assert particle.m_star == 9.1e-31
+        assert particle.hbar == 1.054e-34
+        assert particle.k_B == 1.38e-23
+
+    def test_spacing_from_width(self):
+        assert _lattice(parse_config(["spectrum", "--N", "8", "--L", "2"])).a == 0.25
+        assert _lattice(parse_config(["spectrum", "--N", "8", "--a", "0.3"])).a == 0.3
 
     def test_config_file_flag_precedence(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -133,11 +145,7 @@ class TestParseConfig:
         conf.write_text(line + "\n")
         assert main(argv + ["--config", str(conf)]) == 2
 
-    @pytest.mark.parametrize("argv", list(GOLDEN_ARGS.values()) + [
-        ["partition", "--SI", "--L", "1e-8", "--T", "300", "--m-star", "2e-31", "--k-B", "1.4e-23"],
-        ["wavefunction", "--N", "8", "--n-E", "3", "--SI", "--a", "1e-10", "--hbar", "1e-34"],
-        ["density-matrix", "--N", "5", "--beta", "2", "--normalized", "--output", "json"],
-    ], ids=list(GOLDEN_ARGS) + ["si-constants", "si-wavefunction", "normalized-json"])
+    @pytest.mark.parametrize("argv", CONFIG_ARGS.values(), ids=CONFIG_ARGS)
     @pytest.mark.parametrize("spelling", ["underscore", "dash"])
     def test_config_file_matches_flags(self, argv, spelling, tmp_path):
         # keys: m_star/k_B/n_E and si, or m-star/k-B/n-E and SI; booleans as words
@@ -147,6 +155,22 @@ class TestParseConfig:
             key = key.replace("-", "_").replace("SI", "si") if spelling == "underscore" else key
             value = rest.pop(0) if rest and not rest[0].startswith("--") else "yes"
             lines.append(f"{key} = {value}")
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n".join(lines) + "\n")
+        assert parse_config([argv[0], "--config", str(conf)]) == parse_config(argv)
+
+    @pytest.mark.parametrize("argv", [
+        *CONFIG_ARGS.values(), ["partition", "--N", "6", "--sweep", "0.0012345678:4:2:log"],
+    ], ids=[*CONFIG_ARGS, "sweep-digits"])
+    def test_json_config_echo_reparses(self, argv, tmp_path, capsys):
+        # the echoed options as a config file: command dropped, nulls skipped, booleans as words
+        argv = argv if "--output" in argv else argv + ["--output", "json"]
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        echo = json.loads(out)["config"]
+        assert echo.pop("command") == argv[0]
+        lines = [f"{key} = {('yes' if value else 'no') if isinstance(value, bool) else value}"
+                 for key, value in echo.items() if value is not None]
         conf = tmp_path / "run.conf"
         conf.write_text("\n".join(lines) + "\n")
         assert parse_config([argv[0], "--config", str(conf)]) == parse_config(argv)
@@ -171,6 +195,18 @@ class TestExitStatuses:
         # mu ~ 2.5e-12 needs far more than the 1e6-term cap
         assert main(["partition", "--N", "5", "--natural", "--beta", "5e-13"]) == 4
         assert "numeric error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--L", "1", "--natural", "--sweep", "0.5:3:3:linear"],
+        ["converge", "--L", "1", "--sweep", "1:3:3:linear", "--quantity", "partition", "--beta", "1"],
+        ["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log", "--quantity", "partition", "--beta", "0"],
+        ["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log", "--beta", "0"],
+        ["converge", "--L", "1", "--N", "5", "--sweep", "50:400:3:log"],
+    ], ids=["sweep-rounds-to-0", "sweep-rounds-to-1", "partition-beta-0", "energy-beta-0", "N-given"])
+    def test_converge_input_errors_are_config_errors(self, argv, capsys):
+        # converge sweeps N itself, so it has no --N and each rounded N must be >= 2
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_success_is_zero(self, capsys):
         assert main(["spectrum", "--N", "4", "--natural"]) == 0
@@ -275,8 +311,16 @@ class TestOutput:
         _, out = run_cli(["spectrum", "--N", "4", "--natural", "--output", "json"], capsys)
         doc = json.loads(out)
         assert doc["config"]["N"] == 4
-        assert doc["meta"]["unit_mode"] == "natural"
+        assert doc["config"]["a"] is None and doc["config"]["m_star"] is None  # options not given
+        assert doc["meta"] == {"version": "0.1.0", "unit_mode": "natural", "m_star": 1.0, "hbar": 1.0, "k_B": 1.0}
         assert doc["columns"][0] == "n_E"
+
+    def test_json_meta_holds_the_constants_used(self, capsys):
+        argv = ["partition", "--SI", "--L", "1e-8", "--T", "300", "--k-B", "1.4e-23", "--output", "json"]
+        doc = json.loads(run_cli(argv, capsys)[1])
+        assert doc["config"]["k_B"] == 1.4e-23 and doc["config"]["hbar"] is None
+        assert doc["meta"] == {"version": "0.1.0", "unit_mode": "SI", "m_star": 9.1e-31, "hbar": 1.054e-34,
+                               "k_B": 1.4e-23}
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"

@@ -36,12 +36,12 @@ def test_lattice_spec_validation():
 
 
 def test_particle_spec_validation():
-    with pytest.raises(ValueError):
-        ParticleSpec(2.0, 1.0, "natural")
-    with pytest.raises(ValueError):
-        ParticleSpec(1.0, 1.0, "cgs")
+    for bad in ((0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -1.38e-23), (1.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            ParticleSpec(*bad)
+    assert ParticleSpec.natural() == ParticleSpec(1.0, 1.0, 1.0)
     p = ParticleSpec.si(9.1e-31)
-    assert p.hbar == 1.054e-34
+    assert (p.hbar, p.k_B) == (1.054e-34, 1.38e-23)
 
 
 def test_sin_pi_ratio_exact_zeros_and_symmetry():
