@@ -29,6 +29,7 @@ from .lattice import LatticeFunction, LatticeSpec
 from .spectrum import (
     HBAR_SI,
     K_B_SI,
+    M_STAR_SI,
     ParticleSpec,
     SpectralMode,
     Spectrum,

@@ -4,7 +4,8 @@ Subcommands: spectrum, wavefunction, density-matrix, partition, mean-energy,
 heat-capacity, converge.  Identical configurations produce byte-identical
 output; numbers are written with 17 significant digits so either format
 round-trips exactly.  A JSON document holds four objects: ``columns`` and
-``rows`` are the CSV table; ``config`` holds the command and its options as
+``rows`` are the CSV table, with null where CSV prints nan or inf (JSON has no
+such numbers); ``config`` holds the command and its options as
 parsed from flags and config file, null where an option was not given (the
 sweep as its text); ``meta`` holds the package version, the unit mode and the
 m_star, hbar and k_B the run used.
@@ -20,12 +21,13 @@ its exclusive pair (a/L, beta/T, natural/SI).
 
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read and an
---out path that cannot be written; 3 domain error; 4 numeric error (series
-cap hit).
+--out path that cannot be written; 3 domain error, including a beta or T
+derived from the other that overflows; 4 numeric error (series cap hit).
 """
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -40,6 +42,7 @@ from .lattice import LatticeSpec
 from .spectrum import (
     HBAR_SI,
     K_B_SI,
+    M_STAR_SI,
     ParticleSpec,
     build_spectrum,
     continuum_limit_error,
@@ -68,13 +71,8 @@ EXIT_NUMERIC = 4
 #: CSV rows formatted per write, which bounds the emitter's string temporaries.
 EMIT_BLOCK_ROWS = 1 << 16
 
-#: Default SI inputs (free-electron mass; hbar and k_B match the library defaults).
-M_STAR_SI_DEFAULT = 9.1e-31
-
 #: Mutually exclusive option pairs, by dest.
 _PAIRS = (("a", "L"), ("beta", "T"), ("natural", "si"))
-#: Options that are bare flags on the command line and words in a config file.
-_SWITCHES = ("natural", "si", "normalized")
 _TRUE_WORDS = ("1", "true", "yes", "on")
 _FALSE_WORDS = ("0", "false", "no", "off")
 
@@ -108,11 +106,9 @@ class SweepSpec:
         if len(parts) != 4:
             raise ConfigError(f"sweep must be start:stop:points:scale, got {text!r}")
         try:
-            start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError as exc:
+            start, stop, points = finite(parts[0]), finite(parts[1]), int(parts[2])
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad sweep {text!r}: {exc}") from None
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ConfigError(f"sweep ends must be finite, got {text!r}")
         scale = parts[3]
         if scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be linear or log, got {scale!r}")
@@ -143,7 +139,7 @@ def _parser() -> argparse.ArgumentParser:
     units = common.add_mutually_exclusive_group()
     units.add_argument("--natural", action="store_true", help="natural units: m* = hbar = k_B = 1 (default)")
     units.add_argument("--SI", dest="si", action="store_true", help="SI units with --m-star/--hbar/--k-B")
-    common.add_argument("--m-star", type=finite, help=f"effective mass [kg], default {M_STAR_SI_DEFAULT:g}")
+    common.add_argument("--m-star", type=finite, help=f"effective mass [kg], default {M_STAR_SI:g}")
     common.add_argument("--hbar", type=finite, help=f"hbar [J s], default {HBAR_SI:g}")
     common.add_argument("--k-B", type=finite, help=f"Boltzmann constant [J/K], default {K_B_SI:g}")
     common.add_argument("--output", choices=("csv", "json"), default="csv", help="table format (default csv)")
@@ -182,7 +178,8 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     """The config file's lines as flags for the subcommand whose options ``args`` holds.
 
     Every pair member defaults to None or False, so one that holds another
-    value was given as a flag: the file's lines for its pair are dropped.
+    value was given as a flag: the file's lines for its pair are dropped.  An
+    option whose value is a bool is a switch: a bare flag, a word in the file.
     """
     flagged = {dest for dest, value in vars(args).items() if value is not None and value is not False}
     silenced = {dest for pair in _PAIRS if flagged.intersection(pair) for dest in pair}
@@ -207,7 +204,7 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
         if dest in silenced:
             continue
         flag = "--" + ("SI" if dest == "si" else dest.replace("_", "-"))
-        if dest not in _SWITCHES:
+        if not isinstance(getattr(args, dest), bool):
             flags.append(f"{flag}={val}")
         elif val.lower() in _TRUE_WORDS:
             flags.append(flag)
@@ -280,11 +277,8 @@ def _particle(args: argparse.Namespace) -> ParticleSpec:
     """Natural units, or SI with the default of each constant not given."""
     if not args.si:
         return ParticleSpec.natural()
-    return ParticleSpec.si(
-        M_STAR_SI_DEFAULT if args.m_star is None else args.m_star,
-        HBAR_SI if args.hbar is None else args.hbar,
-        K_B_SI if args.k_B is None else args.k_B,
-    )
+    given = {dest: getattr(args, dest) for dest in ("m_star", "hbar", "k_B")}
+    return ParticleSpec.si(**{dest: value for dest, value in given.items() if value is not None})
 
 
 def _lattice(args: argparse.Namespace) -> LatticeSpec:
@@ -293,10 +287,16 @@ def _lattice(args: argparse.Namespace) -> LatticeSpec:
     return LatticeSpec(args.N, a)
 
 
+def _reciprocal_kT(x: float, particle: ParticleSpec) -> float:
+    """1/(k_B x), which is beta for x = T and T for x = beta; an inf result is a domain error."""
+    y = 1.0 / (particle.k_B * x)
+    if math.isinf(y):
+        raise OverflowError(f"1/(k_B * {x!r}) overflows")
+    return y
+
+
 def _beta_value(args: argparse.Namespace, particle: ParticleSpec) -> float:
-    if args.beta is not None:
-        return args.beta
-    return 1.0 / (particle.k_B * args.T)
+    return args.beta if args.beta is not None else _reciprocal_kT(args.T, particle)
 
 
 def _beta_grid(args: argparse.Namespace, particle: ParticleSpec) -> list[float]:
@@ -377,10 +377,8 @@ def _cmd_heat_capacity(args: argparse.Namespace):
     theta = characteristic_temperature(spec)
     if args.sweep is not None:
         temps = args.sweep.values()
-    elif args.T is not None:
-        temps = [args.T]
     else:
-        temps = [1.0 / (particle.k_B * args.beta)]
+        temps = [args.T if args.T is not None else _reciprocal_kT(args.beta, particle)]
     return {
         "T": temps,
         "x": theta / np.asarray(temps),
@@ -419,36 +417,31 @@ def build_table(args: argparse.Namespace) -> dict:
     return _COMMANDS[args.command](args)
 
 
-def _csv_cells(column: np.ndarray) -> list[str]:
-    if column.dtype.kind == "f":
-        return [format(v, ".17g") for v in column.tolist()]
-    return [str(v) for v in column.tolist()]
-
-
 def emit(args: argparse.Namespace, table: dict, stream) -> None:
-    """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document."""
+    """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document (nan/inf as null)."""
     columns = [np.asarray(v) for v in table.values()]
+    floats = [col.dtype.kind == "f" for col in columns]
     if args.output == "csv":
+        row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
         stream.write(",".join(table) + "\n")
         for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
-            cells = [_csv_cells(col[start:start + EMIT_BLOCK_ROWS]) for col in columns]
-            stream.write("".join(",".join(row) + "\n" for row in zip(*cells)))
+            cells = [col[start:start + EMIT_BLOCK_ROWS].tolist() for col in columns]
+            stream.write((row * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells))))
         return
+    cells = [np.where(np.isfinite(col), col, None) if f else col for col, f in zip(columns, floats)]
     doc = {
         "config": vars(args),
         "columns": list(table),
-        "rows": list(zip(*(col.tolist() for col in columns))),
+        "rows": list(zip(*(col.tolist() for col in cells))),
         "meta": {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))},
     }
-    stream.write(json.dumps(doc, default=lambda sweep: sweep.text) + "\n")
+    stream.write(json.dumps(doc, default=lambda sweep: sweep.text, allow_nan=False) + "\n")
 
 
-def run(args: argparse.Namespace, stream=None) -> int:
+def run(args: argparse.Namespace) -> int:
     """Compute the configured table and write it (spec'd entry point)."""
     table = build_table(args)
-    if stream is not None:
-        emit(args, table, stream)
-    elif args.out:
+    if args.out:
         try:
             with open(args.out, "w", newline="") as fh:
                 emit(args, table, fh)

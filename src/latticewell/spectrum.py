@@ -15,6 +15,7 @@ import numpy as np
 
 from .lattice import LatticeFunction, LatticeSpec
 
+M_STAR_SI = 9.1e-31  # kg, the free-electron mass
 HBAR_SI = 1.054e-34  # J s
 K_B_SI = 1.38e-23    # J / K
 
@@ -36,7 +37,7 @@ class ParticleSpec:
         return cls()
 
     @classmethod
-    def si(cls, m_star: float, hbar: float = HBAR_SI, k_B: float = K_B_SI) -> "ParticleSpec":
+    def si(cls, m_star: float = M_STAR_SI, hbar: float = HBAR_SI, k_B: float = K_B_SI) -> "ParticleSpec":
         return cls(m_star, hbar, k_B)
 
     def energy_scale(self, a: float) -> float:
@@ -162,19 +163,9 @@ def build_hamiltonian_matrix(lattice: LatticeSpec) -> np.ndarray:
     those diagonal entries and keeps the sine modes exact eigenvectors, with
     eigenvalues sin^2(pi n_E / N).
     """
-    N = lattice.N
-    M = np.zeros((N - 1, N - 1))
-    for i in range(1, N):
-        d = 0.5
-        if i == 1:
-            d += 0.25
-        if i == N - 1:
-            d += 0.25
-        M[i - 1, i - 1] = d
-        for nb in (i - 2, i + 2):
-            if 1 <= nb <= N - 1:
-                M[i - 1, nb - 1] = -0.25
-    return M
+    i, j = np.ogrid[1:lattice.N, 1:lattice.N]
+    ghosts = 0.25 * (i == 1) + 0.25 * (i == lattice.N - 1)
+    return np.select([i == j, abs(i - j) == 2], [0.5 + ghosts, -0.25])
 
 
 def numeric_spectrum(M: np.ndarray) -> np.ndarray:

@@ -53,7 +53,13 @@ class PartitionResult:
 
 
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
-    """mu = beta hbar^2 pi^2 / (2 m* L^2), the dimensionless theta argument."""
+    """mu = beta hbar^2 pi^2 / (2 m* L^2), the dimensionless theta argument.
+
+    Every continuum route computes mu first, so this is the one check of
+    their arguments: beta > 0 and L > 0 (NaN fails both).
+    """
+    if not (beta > 0 and L > 0):
+        raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
     return beta * particle.hbar ** 2 * math.pi ** 2 / (2.0 * particle.m_star * L * L)
 
 
@@ -114,16 +120,12 @@ def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
 
 def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Converged sum over parabolic continuum levels exp(-mu n^2)."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
     return PartitionResult(_gaussian_series(mu), beta, mu)
 
 
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
     Z = L * math.sqrt(particle.m_star / (2.0 * math.pi * beta * particle.hbar ** 2))
     return PartitionResult(Z, beta, mu)
@@ -151,8 +153,6 @@ def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionR
     _gaussian_series, so the two agree by construction.  That series is
     cross-checked against theta3_poisson instead.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
     mu = theta_argument(L, particle, beta)
     return PartitionResult(0.5 * (theta3(mu) - 1.0), beta, mu)
 

@@ -1,4 +1,4 @@
-"""The bench tracer wraps library functions by name; every name must still exist."""
+"""The bench wraps and calls library functions by name; every name must still exist."""
 
 import importlib.util
 from pathlib import Path
@@ -6,13 +6,19 @@ from pathlib import Path
 import latticewell.cli  # noqa: F401  (the tracer wraps cli functions too)
 from latticewell import spectrum, thermo
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name: str):
+    """A module of bench/, loaded from its file without touching the directory."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_installs_and_uninstalls_against_the_library():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     before = (thermo.characteristic_temperature, spectrum.Spectrum.__dict__["energies"])
     t = tracer.Tracer()
     t.install()  # raises AttributeError or KeyError for a renamed target
@@ -21,3 +27,14 @@ def test_tracer_installs_and_uninstalls_against_the_library():
     finally:
         t.uninstall()
     assert (thermo.characteristic_temperature, spectrum.Spectrum.__dict__["energies"]) == before
+
+
+def test_workloads_run_and_check_against_the_library():
+    workloads = _load("workloads")
+    # the route cross-check calls every library route the bench uses
+    req = workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS})
+    code, output = workloads.execute(req)
+    assert workloads.check(req, code, output, {}) is None
+    for name in workloads.WORKLOADS:
+        for req in workloads.GENERATORS[name](1):
+            assert set(workloads.work(req)) == {"series_terms", "modes", "flops", "matrix_bytes", "rk4_steps"}

@@ -33,6 +33,11 @@ CONFIG_ARGS = {**GOLDEN_ARGS,
     "si-wavefunction": ["wavefunction", "--N", "8", "--n-E", "3", "--SI", "--a", "1e-10", "--hbar", "1e-34"],
     "normalized-json": ["density-matrix", "--N", "5", "--beta", "2", "--normalized", "--output", "json"],
 }
+#: The golden configs plus continuum-only runs, whose discrete columns are nan.
+ROUND_TRIP_ARGS = {**GOLDEN_ARGS,
+    "partition-continuum": ["partition", "--L", "50", "--natural", "--beta", "1"],
+    "mean-energy-continuum": ["mean-energy", "--L", "50", "--natural", "--sweep", "0.5:4:3:linear"],
+}
 
 
 def cli_env():
@@ -231,9 +236,14 @@ class TestExitStatuses:
         ["partition", "--N", "6", "--L", "1e-170", "--beta", "1"],
         ["mean-energy", "--N", "6", "--beta", "1e-320"],
         ["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"],
-    ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L"])
+        ["partition", "--N", "6", "--natural", "--T", "1e-320"],
+        ["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"],
+        ["density-matrix", "--N", "4", "--natural", "--T", "1e-320"],
+    ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
+            "beta-from-T", "T-from-beta", "density-beta-from-T"])
     def test_arithmetic_underflow_is_domain_error(self, argv, capsys):
-        # a^2, L^2 or the finite-difference step underflows to 0 and is divided by
+        # a^2, L^2 or the finite-difference step underflows to 0 and is divided
+        # by, or 1/(k_B x) turning T into beta or beta into T overflows to inf
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
@@ -288,15 +298,20 @@ class TestOutput:
         assert code == 0
         assert out == (GOLDEN / name).read_text()
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+    @pytest.mark.parametrize("name", sorted(ROUND_TRIP_ARGS))
     def test_csv_json_round_trip(self, name, capsys):
-        base = list(GOLDEN_ARGS[name])
+        base = list(ROUND_TRIP_ARGS[name])
         _, out_csv = run_cli(base, capsys)
         _, out_json = run_cli(base + ["--output", "json"], capsys)
-        doc = json.loads(out_json)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(out_json, parse_constant=reject)
         csv_rows = list(csv.reader(io.StringIO(out_csv)))
         assert csv_rows[0] == doc["columns"]
         assert len(csv_rows) - 1 == len(doc["rows"])
+        assert any(None in row for row in doc["rows"]) == name.endswith("-continuum")
         for crow, jrow in zip(csv_rows[1:], doc["rows"]):
             assert len(crow) == len(jrow)
             for column, cval, jval in zip(doc["columns"], crow, jrow):
@@ -304,6 +319,8 @@ class TestOutput:
                     assert type(jval) is int and str(jval) == cval
                 elif column == "quantity":
                     assert type(jval) is str and jval == cval
+                elif jval is None:  # JSON has no nan
+                    assert cval == "nan"
                 else:
                     assert type(jval) is float and format(jval, ".17g") == cval
 

@@ -42,6 +42,7 @@ def test_particle_spec_validation():
     assert ParticleSpec.natural() == ParticleSpec(1.0, 1.0, 1.0)
     p = ParticleSpec.si(9.1e-31)
     assert (p.hbar, p.k_B) == (1.054e-34, 1.38e-23)
+    assert ParticleSpec.si() == ParticleSpec(9.1e-31, 1.054e-34, 1.38e-23)
 
 
 def test_sin_pi_ratio_exact_zeros_and_symmetry():
@@ -199,10 +200,13 @@ class TestEigenfunctions:
 
 class TestHamiltonianMatrix:
     def test_n4_entries(self):
-        # rows assembled by hand with the odd-reflection ghost closure
-        M = build_hamiltonian_matrix(LatticeSpec(4))
-        expected = np.array([[0.75, 0.0, -0.25], [0.0, 0.5, 0.0], [-0.25, 0.0, 0.75]])
-        assert np.array_equal(M, expected)
+        # rows assembled by hand with the odd-reflection ghost closure; N = 3
+        # has both ghost corrections and no neighbours two sites apart
+        for N, expected in (
+            (3, [[0.75, 0.0], [0.0, 0.75]]),
+            (4, [[0.75, 0.0, -0.25], [0.0, 0.5, 0.0], [-0.25, 0.0, 0.75]]),
+        ):
+            assert np.array_equal(build_hamiltonian_matrix(LatticeSpec(N)), np.array(expected))
 
     def test_n2_single_site(self):
         M = build_hamiltonian_matrix(LatticeSpec(2))

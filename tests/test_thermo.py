@@ -141,6 +141,12 @@ class TestPartitionContinuum:
             with pytest.raises(ValueError):
                 fn(1.0, NATURAL, 0.0)
 
+    @pytest.mark.parametrize("L", [-1.0, 0.0, math.nan])
+    def test_rejects_bad_width(self, L):
+        for fn in (partition_continuum_sum, partition_continuum_closed, partition_theta, mean_energy_continuum):
+            with pytest.raises(ValueError):
+                fn(L, NATURAL, 1.0)
+
     def test_series_cap(self):
         # mu ~ 1e-11 needs ~2.5e6 terms, beyond the 1e6 cap
         with pytest.raises(SeriesCapExceeded):
