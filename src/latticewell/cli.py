@@ -21,8 +21,9 @@ its exclusive pair (a/L, beta/T, natural/SI).
 
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read and an
---out path that cannot be written; 3 domain error, including a beta or T
-derived from the other that overflows; 4 numeric error (series cap hit).
+--out path that cannot be written; 3 domain error, including a quantity that
+overflows (beta or T from the other, energy scale, width, Z_closed, x);
+4 numeric error (series cap hit).
 """
 
 import argparse
@@ -288,10 +289,10 @@ def _lattice(args: argparse.Namespace) -> LatticeSpec:
 
 
 def _reciprocal_kT(x: float, particle: ParticleSpec) -> float:
-    """1/(k_B x), which is beta for x = T and T for x = beta; an inf result is a domain error."""
+    """1/(k_B x), which is beta for x = T and T for x = beta; an inf or 0 result is a domain error."""
     y = 1.0 / (particle.k_B * x)
-    if math.isinf(y):
-        raise OverflowError(f"1/(k_B * {x!r}) overflows")
+    if not (math.isfinite(y) and y > 0):
+        raise OverflowError(f"1/(k_B * {x!r}) = {y!r} is out of range")
     return y
 
 
@@ -379,9 +380,12 @@ def _cmd_heat_capacity(args: argparse.Namespace):
         temps = args.sweep.values()
     else:
         temps = [args.T if args.T is not None else _reciprocal_kT(args.beta, particle)]
+    x = [theta / T for T in temps]
+    if not math.isfinite(max(x)):
+        raise OverflowError(f"x = Theta/T overflows at T={min(temps)!r}")
     return {
         "T": temps,
-        "x": theta / np.asarray(temps),
+        "x": x,
         "Cv_over_R": [heat_capacity_two_level(spec, T) for T in temps],
     }
 

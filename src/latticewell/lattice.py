@@ -1,5 +1,6 @@
 """Uniform integer lattices and finitely supported functions sampled on them."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,8 @@ class LatticeSpec:
         object.__setattr__(self, "N", int(self.N))
         if not self.a > 0:
             raise ValueError(f"lattice spacing a must be positive, got {self.a!r}")
+        if not math.isfinite(self.N * self.a):
+            raise OverflowError(f"width L = N*a overflows at N={self.N}, a={self.a!r}")
 
     @property
     def L(self) -> float:

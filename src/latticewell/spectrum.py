@@ -42,7 +42,10 @@ class ParticleSpec:
 
     def energy_scale(self, a: float) -> float:
         """hbar^2 / (2 m* a^2), the prefactor of every lattice eigenvalue."""
-        return self.hbar * self.hbar / (2.0 * self.m_star * a * a)
+        scale = self.hbar * self.hbar / (2.0 * self.m_star * a * a)
+        if not math.isfinite(scale):
+            raise OverflowError(f"hbar^2/(2 m* a^2) overflows at a={a!r}, hbar={self.hbar!r}")
+        return scale
 
 
 def sin_pi_ratio(k, N: int):

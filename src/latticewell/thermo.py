@@ -3,8 +3,8 @@
 Four routes to Z: the discrete sum over the N-1 lattice modes, the continuum
 sum over parabolic levels, its closed Gaussian-integral form
 L sqrt(m*/2 pi beta hbar^2), and the theta-function form (theta3(mu) - 1)/2
-with mu = beta hbar^2 pi^2 / (2 m* L^2).  The theta form sums the same series
-as the continuum sum, so it is not an independent route (see partition_theta).
+with mu = beta hbar^2 pi^2 / (2 m* L^2).  The theta form returns the continuum
+sum's own series, so it is still a copy of that route (see partition_theta).
 Mean energy, free energy, and the two-level (Schottky) heat capacity derive
 from these.
 """
@@ -128,6 +128,8 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
     mu = theta_argument(L, particle, beta)
     Z = L * math.sqrt(particle.m_star / (2.0 * math.pi * beta * particle.hbar ** 2))
+    if not math.isfinite(Z):
+        raise OverflowError(f"Z_closed overflows at L={L!r}, beta={beta!r}")
     return PartitionResult(Z, beta, mu)
 
 
@@ -142,19 +144,18 @@ def theta3_poisson(mu: float) -> float:
     """Poisson-resummed form sqrt(pi/mu) * theta3(pi^2/mu); equals theta3(mu)."""
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    c = math.pi * math.pi / mu
-    return math.sqrt(math.pi / mu) * (1.0 + 2.0 * _gaussian_series(c))
+    return math.sqrt(math.pi / mu) * theta3(math.pi * math.pi / mu)
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Continuum partition function as (theta3(mu) - 1) / 2.
+    """Continuum partition function (theta3(mu) - 1) / 2, returned as the series S.
 
-    Not independent of partition_continuum_sum: theta3 sums the same
-    _gaussian_series, so the two agree by construction.  That series is
-    cross-checked against theta3_poisson instead.
+    theta3 = 1 + 2S with S = sum_{n>=1} exp(-mu n^2), and (1 + 2S) - 1 cancels S
+    away at large mu.  S is partition_continuum_sum's series, so this route is
+    a copy of it; the series is cross-checked against theta3_poisson instead.
     """
     mu = theta_argument(L, particle, beta)
-    return PartitionResult(0.5 * (theta3(mu) - 1.0), beta, mu)
+    return PartitionResult(_gaussian_series(mu), beta, mu)
 
 
 def mean_energy(spectrum: Spectrum, beta: float) -> float:

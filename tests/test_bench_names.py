@@ -35,6 +35,10 @@ def test_workloads_run_and_check_against_the_library():
     req = workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS})
     code, output = workloads.execute(req)
     assert workloads.check(req, code, output, {}) is None
+    # density-large's RK4 request at its own N, width and beta
+    req = workloads.Request("rk4", {"N": workloads.RK4_N, "L": workloads.RK4_L, "beta": workloads.RK4_BETA})
+    code, output = workloads.execute(req)
+    assert workloads.check(req, code, output, {}) is None
     for name in workloads.WORKLOADS:
         for req in workloads.GENERATORS[name](1):
             assert set(workloads.work(req)) == {"series_terms", "modes", "flops", "matrix_bytes", "rk4_steps"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latticewell import (
     LatticeSpec,
     ParticleSpec,
+    build_hamiltonian_matrix,
     density_matrix_continuum,
     density_matrix_normalized,
     density_matrix_spectral,
@@ -24,6 +25,23 @@ NATURAL = ParticleSpec.natural()
 
 def spectrum_for(N, a=1.0):
     return build_spectrum(LatticeSpec(N, a), NATURAL)
+
+
+def _rk4_stage_loop(lattice, particle, beta_target, steps):
+    """The four-stage RK4 loop, one step at a time: the oracle of propagate_bloch."""
+    N, a = lattice.N, lattice.a
+    df = beta_target * particle.energy_scale(a) / steps
+    A = -build_hamiltonian_matrix(lattice)
+    Y = np.eye(N - 1) / a
+    for _ in range(steps):
+        k1 = A @ Y
+        k2 = A @ (Y + 0.5 * df * k1)
+        k3 = A @ (Y + 0.5 * df * k2)
+        k4 = A @ (Y + df * k3)
+        Y = Y + (df / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    rho = np.zeros((N + 1, N + 1))
+    rho[1:N, 1:N] = 0.5 * (Y + Y.T)
+    return rho
 
 
 class TestSpectralConstruction:
@@ -181,6 +199,26 @@ class TestPropagation:
         r1 = propagate_bloch(lat1, NATURAL, beta1, 800)
         r2 = propagate_bloch(lat2, NATURAL, beta2, 800)
         assert np.max(np.abs(r2.rho - 0.5 * r1.rho)) < 1e-14
+
+    @pytest.mark.parametrize("steps", [1, 2, 64, 1000, 2000, 5000])
+    @pytest.mark.parametrize("N", [9, 11, 21])
+    def test_powering_matches_stage_loop(self, N, steps):
+        # f = beta * eps0 up to 5, with df <= 1/2 for the shortest runs
+        lat = LatticeSpec(N)
+        beta = min(0.5 * steps, 5.0) / NATURAL.energy_scale(lat.a)
+        rho = propagate_bloch(lat, NATURAL, beta, steps).rho
+        ref = _rk4_stage_loop(lat, NATURAL, beta, steps)
+        assert np.max(np.abs(rho - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N, be, steps", [(31, 200.0, 200_000), (9, 400.0, 400_000)])
+    def test_long_run_matches_spectral(self, N, be, steps):
+        # at N = 9, be = 400 rho has decayed to ~1e-21: relative accuracy holds
+        lat = LatticeSpec(N)
+        spec = build_spectrum(lat, NATURAL)
+        beta = be / spec.epsilon0
+        rho = propagate_bloch(lat, NATURAL, beta, steps).rho
+        ref = density_matrix_spectral(spec, beta).rho
+        assert np.max(np.abs(rho - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_stability_guard(self):
         lat = LatticeSpec(5)

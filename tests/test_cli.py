@@ -239,11 +239,21 @@ class TestExitStatuses:
         ["partition", "--N", "6", "--natural", "--T", "1e-320"],
         ["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"],
         ["density-matrix", "--N", "4", "--natural", "--T", "1e-320"],
+        ["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"],
+        ["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"],
+        ["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"],
+        ["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"],
+        ["wavefunction", "--N", "2", "--a", "1.7e308"],
+        ["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"],
+        ["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"],
     ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
-            "beta-from-T", "T-from-beta", "density-beta-from-T"])
+            "beta-from-T", "T-from-beta", "density-beta-from-T",
+            "energy-scale-hbar", "energy-scale-a", "density-energy-scale", "Z-closed",
+            "width", "x-column", "T-underflow"])
     def test_arithmetic_underflow_is_domain_error(self, argv, capsys):
         # a^2, L^2 or the finite-difference step underflows to 0 and is divided
-        # by, or 1/(k_B x) turning T into beta or beta into T overflows to inf
+        # by, 1/(k_B x) turning T into beta or beta into T leaves (0, inf), or
+        # the energy scale, N*a, Z_closed or x = Theta/T overflows
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
@@ -277,6 +287,14 @@ class TestOutput:
         assert len(rows) == 25
         vals = {(r["n"], r["n_prime"]): float(r["rho"]) for r in rows}
         assert vals[("1", "3")] == vals[("3", "1")]
+
+    def test_theta_column_at_large_mu(self, capsys):
+        # beta = 8 at L = 1 is mu ~ 39.5: S ~ 7e-18 < eps, so (1 + 2S) - 1 would give 0
+        code, out = run_cli(["partition", "--N", "8", "--L", "1", "--natural", "--sweep", "2:8:4:linear"], capsys)
+        assert code == 0
+        for row in csv.DictReader(io.StringIO(out)):
+            zt, zs = float(row["Z_theta"]), float(row["Z_continuum_sum"])
+            assert zt > 0 and abs(zt - zs) <= 1e-12 * zs
 
     def test_partition_nan_discrete_without_n(self, capsys):
         code, out = run_cli(["partition", "--natural", "--L", "1", "--beta", "0.1"], capsys)

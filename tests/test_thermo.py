@@ -193,6 +193,14 @@ class TestTheta:
             zs = partition_continuum_sum(1.0, NATURAL, beta).Z
             assert abs(zt - zs) <= 1e-9 * zs
 
+    def test_partition_theta_at_large_mu(self):
+        # (1 + 2S) - 1 would cancel S once S < eps (mu > ~37)
+        for mu in np.geomspace(0.01, 50.0, 60):
+            beta = beta_for_mu(float(mu))
+            zt = partition_theta(1.0, NATURAL, beta).Z
+            zs = partition_continuum_sum(1.0, NATURAL, beta).Z
+            assert zt > 0 and abs(zt - zs) <= 1e-12 * zs
+
     def test_theta_vs_closed_constant(self):
         # Z_closed - Z_theta -> 1/2 with exponentially small corrections
         for mu in (0.05, 0.1, 0.145, 0.15):
