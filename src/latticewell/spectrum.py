@@ -18,6 +18,7 @@ from .lattice import LatticeFunction, LatticeSpec
 M_STAR_SI = 9.1e-31  # kg, the free-electron mass
 HBAR_SI = 1.054e-34  # J s
 K_B_SI = 1.38e-23    # J / K
+_BETA_EPS0_CAP = 1e300  # see Spectrum.boltzmann_beta
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,18 @@ class Spectrum:
     @property
     def energies(self) -> np.ndarray:
         return self.epsilon0 * self.e_tilde
+
+    def boltzmann_beta(self, beta: float) -> float:
+        """beta for use inside exp(-beta E), capped so that beta * E cannot overflow.
+
+        Every exponent is beta times an energy or a gap E - E0, and each of
+        those is 0 or lies in [4 epsilon0/N^2, epsilon0].  Capping beta * epsilon0
+        at 1e300 keeps every product finite, so NumPy warns of no overflow, and
+        changes no factor: past the cap each nonzero exponent exceeds
+        4e300/N^2 > 746 for any N below 1e148, and exp of it is 0.0 either way.
+        """
+        eps0 = self.epsilon0
+        return _BETA_EPS0_CAP / eps0 if beta * eps0 > _BETA_EPS0_CAP else beta
 
     def mode(self, n_E: int) -> SpectralMode:
         if not 1 <= n_E <= self.lattice.N - 1:

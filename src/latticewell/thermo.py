@@ -112,9 +112,10 @@ def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
     E = spectrum.energies
-    Z = float(np.sum(np.exp(-beta * E)))
+    b = spectrum.boltzmann_beta(beta)
+    Z = float(np.sum(np.exp(-b * E)))
     E0 = float(E.min())
-    log_Z = -beta * E0 + math.log(float(np.sum(np.exp(-beta * (E - E0)))))
+    log_Z = -beta * E0 + math.log(float(np.sum(np.exp(-b * (E - E0)))))
     return PartitionResult(Z, beta, log_Z=log_Z)
 
 
@@ -127,7 +128,11 @@ def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> Pa
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
     mu = theta_argument(L, particle, beta)
-    Z = L * math.sqrt(particle.m_star / (2.0 * math.pi * beta * particle.hbar ** 2))
+    d = 2.0 * math.pi * beta * particle.hbar ** 2
+    if math.isinf(d):  # split the root, so that Z stays representable at beta near the float limit
+        Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / (math.sqrt(beta) * particle.hbar)
+    else:
+        Z = L * math.sqrt(particle.m_star / d)
     if not math.isfinite(Z):
         raise OverflowError(f"Z_closed overflows at L={L!r}, beta={beta!r}")
     return PartitionResult(Z, beta, mu)
@@ -168,7 +173,7 @@ def mean_energy(spectrum: Spectrum, beta: float) -> float:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
     E = spectrum.energies
     E0 = float(E.min())
-    w = np.exp(-beta * (E - E0))
+    w = np.exp(-spectrum.boltzmann_beta(beta) * (E - E0))
     return E0 + float(np.sum((E - E0) * w) / np.sum(w))
 
 

@@ -31,14 +31,18 @@ def test_tracer_installs_and_uninstalls_against_the_library():
 
 def test_workloads_run_and_check_against_the_library():
     workloads = _load("workloads")
-    # the route cross-check calls every library route the bench uses
-    req = workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS})
-    code, output = workloads.execute(req)
-    assert workloads.check(req, code, output, {}) is None
-    # density-large's RK4 request at its own N, width and beta
-    req = workloads.Request("rk4", {"N": workloads.RK4_N, "L": workloads.RK4_L, "beta": workloads.RK4_BETA})
-    code, output = workloads.execute(req)
-    assert workloads.check(req, code, output, {}) is None
+    requests = [
+        # the route cross-check calls every library route the bench uses
+        workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS}),
+        # density-large's RK4 request at its own N, width and beta
+        workloads.Request("rk4", {"N": workloads.RK4_N, "L": workloads.RK4_L, "beta": workloads.RK4_BETA}),
+        # density-large's largest rho, and its density-matrix CSV request
+        workloads.Request("rho", {"N": workloads.RHO_N, "beta": workloads.RHO_BETA_RANGE[0]}),
+        workloads.cli_request("density-matrix", {"N": workloads.DM_CSV_N, "beta": workloads.DM_BETA_RANGE[0]}),
+    ]
+    for req in requests:
+        code, output = workloads.execute(req)
+        assert workloads.check(req, code, output, {}) is None
     for name in workloads.WORKLOADS:
         for req in workloads.GENERATORS[name](1):
             assert set(workloads.work(req)) == {"series_terms", "modes", "flops", "matrix_bytes", "rk4_steps"}

@@ -17,14 +17,32 @@ from latticewell import (
     partition_discrete,
     propagate_bloch,
     build_spectrum,
+    sine_mode_matrix,
     trace_integral,
 )
+from latticewell.bloch import DENSE_MAX_N
 
 NATURAL = ParticleSpec.natural()
 
 
 def spectrum_for(N, a=1.0):
     return build_spectrum(LatticeSpec(N, a), NATURAL)
+
+
+def _density_matrix_dense(spectrum, beta):
+    """The weighted sine-table product A^T A at any N: the oracle of the FFT path."""
+    lattice = spectrum.lattice
+    A = np.exp(-0.5 * beta * spectrum.energies)[:, None] * sine_mode_matrix(lattice.N)
+    return (2.0 / lattice.L) * (A.T @ A)
+
+
+def _assert_exact_structure(rho):
+    """Exactly symmetric, and exactly +0.0 on the walls and wherever n + n' is odd."""
+    n = np.arange(rho.shape[0])
+    zero = (n[:, None] + n) % 2 == 1
+    zero[[0, -1]] = zero[:, [0, -1]] = True
+    assert np.array_equal(rho, rho.T)
+    assert np.all(rho[zero] == 0.0) and not np.any(np.signbit(rho[zero]))
 
 
 def _rk4_stage_loop(lattice, particle, beta_target, steps):
@@ -45,7 +63,7 @@ def _rk4_stage_loop(lattice, particle, beta_target, steps):
 
 
 class TestSpectralConstruction:
-    @pytest.mark.parametrize("N", [5, 9, 21])
+    @pytest.mark.parametrize("N", [5, 9, 21, 65])
     def test_beta_zero_completeness_odd(self, N):
         a = 0.7
         dm = density_matrix_spectral(spectrum_for(N, a), 0.0)
@@ -55,8 +73,9 @@ class TestSpectralConstruction:
     def test_beta_zero_completeness_even(self):
         # the sine basis has equal norms for every N, so the delta works for
         # even N too; only the trace quadrature overcounts
-        dm = density_matrix_spectral(spectrum_for(8, 0.5), 0.0)
-        assert np.max(np.abs(dm.rho[1:8, 1:8] - np.eye(7) / 0.5)) < 1e-10
+        for N in (8, 64):
+            dm = density_matrix_spectral(spectrum_for(N, 0.5), 0.0)
+            assert np.max(np.abs(dm.rho[1:N, 1:N] - np.eye(N - 1) / 0.5)) < 1e-10
 
     def test_symmetric_random_cases(self):
         rng = np.random.default_rng(5)
@@ -112,6 +131,35 @@ class TestSpectralConstruction:
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
             density_matrix_spectral(spectrum_for(5), -0.5)
+
+
+class TestFFTPath:
+    @pytest.mark.parametrize("N", [DENSE_MAX_N, DENSE_MAX_N + 1, DENSE_MAX_N + 2])
+    def test_either_side_of_the_threshold(self, N):
+        spec = spectrum_for(N, 0.3)
+        beta = 0.8 / spec.epsilon0
+        rho = density_matrix_spectral(spec, beta).rho
+        ref = _density_matrix_dense(spec, beta)
+        if N <= DENSE_MAX_N:
+            assert np.array_equal(rho, ref)  # the sine-table product itself
+        else:
+            assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
+            _assert_exact_structure(rho)
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        N=st.integers(min_value=DENSE_MAX_N + 1, max_value=600),
+        a=st.floats(min_value=1e-2, max_value=10.0),
+        log_beta_eps0=st.floats(min_value=-4.0, max_value=3.0),
+    )
+    def test_matches_dense_product_property(self, N, a, log_beta_eps0):
+        # odd and even N; for even N the n_E = N/2 mode pairs with itself
+        spec = spectrum_for(N, a)
+        beta = 10.0 ** log_beta_eps0 / spec.epsilon0
+        rho = density_matrix_spectral(spec, beta).rho
+        ref = _density_matrix_dense(spec, beta)
+        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
+        _assert_exact_structure(rho)
 
 
 class TestNormalization:

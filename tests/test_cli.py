@@ -266,6 +266,40 @@ class TestExitStatuses:
         assert float(row["Z_discrete"]) == float(row["Z_continuum_sum"]) == float(row["Z_theta"]) == 0.0
         assert math.isfinite(float(row["F"])) and float(row["Z_closed"]) > 0
 
+    @pytest.mark.parametrize("argv, row", [
+        (["partition", "--N", "5", "--L", "1e-12", "--beta", "1e300"],
+         "1.0000000000000001e+300,0,0,3.9894228040143271e-163,0,3.7393772359824007e-298"),
+        (["mean-energy", "--N", "5", "--L", "1e-12", "--beta", "1e300"],
+         "1.0000000000000001e+300,4.3186437851565778e+24,5.0000000157979223e-301"),
+        (["density-matrix", "--N", "5", "--L", "1e-12", "--beta", "1e300"], None),
+        (["density-matrix", "--N", "64", "--L", "1e-12", "--beta", "1e300"], None),
+    ], ids=["partition", "mean-energy", "density-dense", "density-fft"])
+    def test_overflowing_boltzmann_exponent_prints_the_limit(self, argv, row, capsys):
+        # beta * E overflows: every factor exp(-beta E) is 0 and the mean energy
+        # is E0, with no NumPy RuntimeWarning (an error under this suite)
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        if row is not None:
+            assert lines[1:] == [row]
+        else:
+            N = int(argv[2])
+            assert len(lines) == 1 + (N + 1) ** 2
+            assert all(line.endswith(",0") for line in lines[1:])
+
+    @pytest.mark.parametrize("argv, column", [
+        (["partition", "--N", "6", "--natural", "--beta", "1.7e308"], "Z_closed"),
+        (["mean-energy", "--N", "6", "--natural", "--beta", "1.7e308"], "H_mean_continuum"),
+    ], ids=["partition", "mean-energy"])
+    def test_closed_form_at_the_largest_beta(self, argv, column, capsys):
+        # 2 pi beta hbar^2 overflows, but Z_closed = 6 (2 pi beta)^(-1/2) ~ 1.8e-154
+        # and H = 1/(2 beta) are representable
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        row = next(csv.DictReader(io.StringIO(out)))
+        expected = 6.0 / math.sqrt(2.0 * math.pi) / math.sqrt(1.7e308) if column == "Z_closed" else 0.5 / 1.7e308
+        assert float(row[column]) == pytest.approx(expected, rel=1e-9)
+
 
 class TestOutput:
     def test_spectrum_n4_values(self, capsys):
