@@ -36,11 +36,10 @@ DENSE_MAX_N = 32
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """(N+1) x (N+1) grid of density-matrix values at inverse temperature beta."""
+    """(N+1) x (N+1) grid of density-matrix values on the lattice's sites 0..N."""
 
     rho: np.ndarray
     lattice: LatticeSpec
-    beta: float
 
     def __post_init__(self):
         expected = self.lattice.N + 1
@@ -79,19 +78,19 @@ def density_matrix_spectral(spectrum: Spectrum, beta: float) -> DensityMatrix:
     b = spectrum.boltzmann_beta(beta)
     if N <= DENSE_MAX_N:
         A = np.exp(-0.5 * b * E)[:, None] * sine_mode_matrix(N)  # (N-1, N+1)
-        return DensityMatrix((2.0 / L) * (A.T @ A), lattice, beta)
+        return DensityMatrix((2.0 / L) * (A.T @ A), lattice)
     w = np.exp(-b * E)
     c = np.fft.rfft(np.concatenate(([0.0], w, [0.0], w[::-1]))).real / (2.0 * L)  # c(k)/L, k = 0..N
     c[1::2] = 0.0
     W = sliding_window_view(np.concatenate((c[:0:-1], c, c[-2::-1])), N + 1)  # W[i, j] = c(|i + j - N|)/L
-    return DensityMatrix(W[N::-1] - W[N:], lattice, beta)
+    return DensityMatrix(W[N::-1] - W[N:], lattice)
 
 
 def density_matrix_normalized(dm: DensityMatrix, Z: float) -> DensityMatrix:
     """Divide by the partition function so the trace integral is unity (odd N)."""
     if Z <= 0:
         raise ValueError(f"partition function must be positive, got {Z!r}")
-    return DensityMatrix(dm.rho / Z, dm.lattice, dm.beta)
+    return DensityMatrix(dm.rho / Z, dm.lattice)
 
 
 def trace_integral(dm: DensityMatrix) -> float:
@@ -145,7 +144,7 @@ def propagate_bloch(lattice: LatticeSpec, particle: ParticleSpec, beta_target: f
             c, R = 0.0, I + R
     rho = np.zeros((N + 1, N + 1))
     rho[1:N, 1:N] = (c * I + 0.5 * (R + R.T)) / a
-    return DensityMatrix(rho, lattice, beta_target)
+    return DensityMatrix(rho, lattice)
 
 
 def density_matrix_continuum(x: float, x_prime: float, beta: float, particle: ParticleSpec) -> float:

@@ -45,6 +45,7 @@ from .spectrum import (
     K_B_SI,
     M_STAR_SI,
     ParticleSpec,
+    Spectrum,
     build_spectrum,
     continuum_limit_error,
     eigenfunction,
@@ -331,9 +332,13 @@ def _cmd_density_matrix(args: argparse.Namespace):
     particle = _particle(args)
     spec = build_spectrum(lattice, particle)
     beta = _beta_value(args, particle)
-    dm = density_matrix_spectral(spec, beta)
     if args.normalized:
-        dm = density_matrix_normalized(dm, partition_discrete(spec, beta).Z)
+        # rho/Z is the same with every energy measured from the ground state,
+        # and then neither factor carries exp(-beta E0), which underflows
+        spec = Spectrum(lattice, particle, spec.e_tilde - spec.e_tilde[0])
+        dm = density_matrix_normalized(density_matrix_spectral(spec, beta), partition_discrete(spec, beta).Z)
+    else:
+        dm = density_matrix_spectral(spec, beta)
     n = np.arange(lattice.N + 1)
     return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), "rho": dm.rho.ravel()}
 

@@ -43,9 +43,10 @@ class ParticleSpec:
 
     def energy_scale(self, a: float) -> float:
         """hbar^2 / (2 m* a^2), the prefactor of every lattice eigenvalue."""
-        scale = self.hbar * self.hbar / (2.0 * self.m_star * a * a)
+        den = 2.0 * self.m_star * a * a
+        scale = self.hbar * self.hbar / den if den else math.inf  # den is 0 once 2 m* a^2 underflows
         if not math.isfinite(scale):
-            raise OverflowError(f"hbar^2/(2 m* a^2) overflows at a={a!r}, hbar={self.hbar!r}")
+            raise OverflowError(f"the energy scale hbar^2/(2 m* a^2) overflows at a={a!r}, hbar={self.hbar!r}")
         return scale
 
 
@@ -75,11 +76,9 @@ def dimensionless_energy(n_E, N: int):
 
 @dataclass(frozen=True)
 class SpectralMode:
-    """One eigenmode: quantum number, energies, and normalization constant."""
+    """One eigenmode as eigenfunction needs it: quantum number and normalization constant."""
 
     n_E: int
-    e_tilde: float
-    energy: float
     norm_const: float
 
 
@@ -87,13 +86,13 @@ class SpectralMode:
 class Spectrum:
     """The complete set of N-1 modes for one lattice and particle.
 
-    e_tilde and norm_const are read-only arrays over n_E = 1..N-1.
+    e_tilde is the read-only array of dimensionless energies over
+    n_E = 1..N-1; energies scales it by epsilon0 on each read.
     """
 
     lattice: LatticeSpec
     particle: ParticleSpec
     e_tilde: np.ndarray
-    norm_const: np.ndarray
 
     @property
     def epsilon0(self) -> float:
@@ -120,10 +119,15 @@ class Spectrum:
         return _BETA_EPS0_CAP / eps0 if beta * eps0 > _BETA_EPS0_CAP else beta
 
     def mode(self, n_E: int) -> SpectralMode:
-        if not 1 <= n_E <= self.lattice.N - 1:
-            raise ValueError(f"n_E={n_E} outside [1, {self.lattice.N - 1}]")
-        et = float(self.e_tilde[n_E - 1])
-        return SpectralMode(int(n_E), et, self.epsilon0 * et, float(self.norm_const[n_E - 1]))
+        """Mode n_E, normalized to sqrt(2/L), or to 1/sqrt(L) for n_E = N/2.
+
+        Under the odd-site quadrature the square of the n_E = N/2 mode (N
+        even) integrates to a*N instead of a*N/2, hence its constant.
+        """
+        N, L = self.lattice.N, self.lattice.L
+        if not 1 <= n_E <= N - 1:
+            raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
+        return SpectralMode(int(n_E), 1.0 / math.sqrt(L) if 2 * n_E == N else math.sqrt(2.0 / L))
 
 
 def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> float:
@@ -146,20 +150,10 @@ def energy_continuum(n_E, L: float, particle: ParticleSpec):
 
 
 def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:
-    """All N-1 modes in ascending n_E, with per-mode normalization constants.
-
-    Every mode normalizes to sqrt(2/L) except n_E = N/2 (N even), whose
-    square integrates to a*N instead of a*N/2 under the odd-site quadrature,
-    so its constant is 1/sqrt(L).
-    """
-    N = lattice.N
-    e_tilde = dimensionless_energy(np.arange(1, N), N)
-    norm_const = np.full(N - 1, math.sqrt(2.0 / lattice.L))
-    if N % 2 == 0:
-        norm_const[N // 2 - 1] = 1.0 / math.sqrt(lattice.L)
+    """All N-1 modes in ascending n_E: their dimensionless energies sin^2(pi n_E / N)."""
+    e_tilde = dimensionless_energy(np.arange(1, lattice.N), lattice.N)
     e_tilde.setflags(write=False)
-    norm_const.setflags(write=False)
-    return Spectrum(lattice, particle, e_tilde, norm_const)
+    return Spectrum(lattice, particle, e_tilde)
 
 
 def eigenfunction(mode: SpectralMode, lattice: LatticeSpec) -> LatticeFunction:

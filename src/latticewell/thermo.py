@@ -5,8 +5,10 @@ sum over parabolic levels, its closed Gaussian-integral form
 L sqrt(m*/2 pi beta hbar^2), and the theta-function form (theta3(mu) - 1)/2
 with mu = beta hbar^2 pi^2 / (2 m* L^2).  The theta form returns the continuum
 sum's own series, so it is still a copy of that route (see partition_theta).
-Mean energy, free energy, and the two-level (Schottky) heat capacity derive
-from these.
+Every route returns a PartitionResult, which holds only Z and beta: mu comes
+from theta_argument, and F = -ln Z / beta from Z itself, so a discrete Z that
+underflows to 0 has no F (the CLI's F column is the closed form's).  Mean
+energies and the two-level (Schottky) heat capacity derive from these.
 """
 
 import math
@@ -32,24 +34,17 @@ class SeriesCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class PartitionResult:
-    """Partition function value with its derived F.
-
-    ``log_Z`` is ln Z where the route computes it apart from Z, so that it
-    survives an underflowed Z; when it is None, ln Z is taken from Z.
-    """
+    """Partition function Z at inverse temperature beta, and its free energy."""
 
     Z: float
     beta: float
-    mu: float | None = None
-    log_Z: float | None = None
 
     @property
     def free_energy(self) -> float:
-        """F = -ln Z / beta."""
+        """F = -ln Z / beta; an underflowed Z = 0 has no logarithm and raises ValueError."""
         if self.beta <= 0:
             raise ValueError(f"free energy needs beta > 0, got {self.beta!r}")
-        log_Z = math.log(self.Z) if self.log_Z is None else self.log_Z
-        return -log_Z / self.beta
+        return -math.log(self.Z) / self.beta
 
 
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
@@ -103,31 +98,21 @@ def _gaussian_series(c: float) -> float:
 
 
 def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
-    """Direct sum over the N-1 lattice modes; Z(0) = N-1.
-
-    ln Z is summed from the ground state up, ln Z = -beta E0 + ln sum
-    exp(-beta (E - E0)), as mean_energy weights the modes, so it stays finite
-    where Z underflows to 0.
-    """
+    """Direct sum over the N-1 lattice modes; Z(0) = N-1."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta!r}")
-    E = spectrum.energies
-    b = spectrum.boltzmann_beta(beta)
-    Z = float(np.sum(np.exp(-b * E)))
-    E0 = float(E.min())
-    log_Z = -beta * E0 + math.log(float(np.sum(np.exp(-b * (E - E0)))))
-    return PartitionResult(Z, beta, log_Z=log_Z)
+    Z = float(np.sum(np.exp(-spectrum.boltzmann_beta(beta) * spectrum.energies)))
+    return PartitionResult(Z, beta)
 
 
 def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Converged sum over parabolic continuum levels exp(-mu n^2)."""
-    mu = theta_argument(L, particle, beta)
-    return PartitionResult(_gaussian_series(mu), beta, mu)
+    return PartitionResult(_gaussian_series(theta_argument(L, particle, beta)), beta)
 
 
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
-    mu = theta_argument(L, particle, beta)
+    theta_argument(L, particle, beta)  # the one check of beta and L
     d = 2.0 * math.pi * beta * particle.hbar ** 2
     if math.isinf(d):  # split the root, so that Z stays representable at beta near the float limit
         Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / (math.sqrt(beta) * particle.hbar)
@@ -135,7 +120,7 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
         Z = L * math.sqrt(particle.m_star / d)
     if not math.isfinite(Z):
         raise OverflowError(f"Z_closed overflows at L={L!r}, beta={beta!r}")
-    return PartitionResult(Z, beta, mu)
+    return PartitionResult(Z, beta)
 
 
 def theta3(mu: float) -> float:
@@ -159,8 +144,7 @@ def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionR
     away at large mu.  S is partition_continuum_sum's series, so this route is
     a copy of it; the series is cross-checked against theta3_poisson instead.
     """
-    mu = theta_argument(L, particle, beta)
-    return PartitionResult(_gaussian_series(mu), beta, mu)
+    return PartitionResult(_gaussian_series(theta_argument(L, particle, beta)), beta)
 
 
 def mean_energy(spectrum: Spectrum, beta: float) -> float:
@@ -197,7 +181,8 @@ def characteristic_temperature(spectrum: Spectrum) -> float:
         raise ValueError(
             f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}"
         )
-    return abs(spectrum.mode(1).energy - spectrum.mode(2).energy) / (2.0 * spectrum.particle.k_B)
+    E1, E2 = spectrum.energies[:2].tolist()
+    return abs(E1 - E2) / (2.0 * spectrum.particle.k_B)
 
 
 def heat_capacity_two_level(spectrum: Spectrum, T: float) -> float:

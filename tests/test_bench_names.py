@@ -31,6 +31,8 @@ def test_tracer_installs_and_uninstalls_against_the_library():
 
 def test_workloads_run_and_check_against_the_library():
     workloads = _load("workloads")
+    cv_N, cv_points = workloads.HEAT_CAPACITY_DESIGN[1]
+    cv_sweep = (1.0 / workloads.BETA_RANGE[1], 1.0 / workloads.BETA_RANGE[0], cv_points, "log")  # T = 1/beta
     requests = [
         # the route cross-check calls every library route the bench uses
         workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS}),
@@ -39,6 +41,11 @@ def test_workloads_run_and_check_against_the_library():
         # density-large's largest rho, and its density-matrix CSV request
         workloads.Request("rho", {"N": workloads.RHO_N, "beta": workloads.RHO_BETA_RANGE[0]}),
         workloads.cli_request("density-matrix", {"N": workloads.DM_CSV_N, "beta": workloads.DM_BETA_RANGE[0]}),
+        # density-large's normalized density matrix
+        workloads.cli_request("density-matrix", {"N": workloads.DM_NORMALIZED_N, "beta": workloads.DM_BETA_RANGE[1],
+                                                 "normalized": True}),
+        # thermo-sweep's small heat-capacity request
+        workloads.cli_request("heat-capacity", {"N": cv_N, "sweep": cv_sweep}),
     ]
     for req in requests:
         code, output = workloads.execute(req)

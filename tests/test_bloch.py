@@ -98,7 +98,7 @@ class TestSpectralConstruction:
         beta = 50.0 / spec.epsilon0
         dm = density_matrix_spectral(spec, beta)
         lat = spec.lattice
-        w = math.exp(-beta * spec.mode(1).energy)
+        w = math.exp(-beta * spec.energies[0])
         truncated = np.zeros_like(dm.rho)
         for j in (1, N - 1):
             v = np.array([math.sin(math.pi * j * n / N) for n in range(N + 1)])

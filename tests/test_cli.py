@@ -231,32 +231,36 @@ class TestExitStatuses:
         assert main([arg.format(conf=conf) for arg in argv]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--N", "5", "--a", "1e-170"],
-        ["partition", "--N", "6", "--L", "1e-170", "--beta", "1"],
-        ["mean-energy", "--N", "6", "--beta", "1e-320"],
-        ["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"],
-        ["partition", "--N", "6", "--natural", "--T", "1e-320"],
-        ["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"],
-        ["density-matrix", "--N", "4", "--natural", "--T", "1e-320"],
-        ["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"],
-        ["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"],
-        ["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"],
-        ["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"],
-        ["wavefunction", "--N", "2", "--a", "1.7e308"],
-        ["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"],
-        ["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"],
+    @pytest.mark.parametrize("argv, scale", [
+        (["spectrum", "--N", "5", "--a", "1e-170"], True),
+        (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], False),
+        (["mean-energy", "--N", "6", "--beta", "1e-320"], False),
+        (["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"], True),
+        (["partition", "--N", "6", "--natural", "--T", "1e-320"], False),
+        (["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"], False),
+        (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], False),
+        (["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"], True),
+        (["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"], True),
+        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], True),
+        (["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"], False),
+        (["wavefunction", "--N", "2", "--a", "1.7e308"], False),
+        (["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"], False),
+        (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], False),
+        (["density-matrix", "--N", "5", "--a", "1e-170", "--beta", "1"], True),
+        (["heat-capacity", "--N", "6", "--a", "1e-170", "--T", "1"], True),
     ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
             "beta-from-T", "T-from-beta", "density-beta-from-T",
             "energy-scale-hbar", "energy-scale-a", "density-energy-scale", "Z-closed",
-            "width", "x-column", "T-underflow"])
-    def test_arithmetic_underflow_is_domain_error(self, argv, capsys):
+            "width", "x-column", "T-underflow", "density-a-squared", "heat-capacity-a-squared"])
+    def test_arithmetic_underflow_is_domain_error(self, argv, scale, capsys):
         # a^2, L^2 or the finite-difference step underflows to 0 and is divided
         # by, 1/(k_B x) turning T into beta or beta into T leaves (0, inf), or
-        # the energy scale, N*a, Z_closed or x = Theta/T overflows
+        # the energy scale, N*a, Z_closed or x = Theta/T overflows; the energy
+        # scale names itself, whether a^2 underflows or hbar^2 overflows
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
+        assert ("energy scale" in err) == scale
 
     def test_underflowed_partition_prints_zero(self, capsys):
         # Z underflows at beta = 1e5; F comes from the closed form, which does not
@@ -265,6 +269,29 @@ class TestExitStatuses:
         row = next(csv.DictReader(io.StringIO(out)))
         assert float(row["Z_discrete"]) == float(row["Z_continuum_sum"]) == float(row["Z_theta"]) == 0.0
         assert math.isfinite(float(row["F"])) and float(row["Z_closed"]) > 0
+
+    @pytest.mark.parametrize("beta_E0", [730.0, 746.0, 1e4, 1e300])
+    @pytest.mark.parametrize("N", [5, 40], ids=["dense", "fft"])
+    def test_normalized_density_matrix_at_large_beta(self, N, beta_E0, capsys):
+        # rho and Z both carry exp(-beta E0), which is subnormal past beta E0 ~ 708
+        # and 0 past ~745; their ratio is finite, and its odd-site trace is 1
+        beta = beta_E0 / (0.5 * math.sin(math.pi / N) ** 2)
+        code, out = run_cli(["density-matrix", "--N", str(N), "--natural", "--beta", repr(beta), "--normalized"],
+                            capsys)
+        assert code == 0
+        rho = {(int(r["n"]), int(r["n_prime"])): float(r["rho"]) for r in csv.DictReader(io.StringIO(out))}
+        assert all(math.isfinite(v) for v in rho.values())
+        assert 2.0 * math.fsum(rho[n, n] for n in range(1, N, 2)) == pytest.approx(1.0, abs=1e-14)
+
+    def test_wavefunction_of_a_width_whose_energy_scale_overflows(self, capsys):
+        # psi needs only sqrt(2/L), so an energy scale that overflows does not stop it
+        code, out = run_cli(["wavefunction", "--N", "7", "--n-E", "3", "--natural", "--L", "1e-300"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        psi = [float(r["psi"]) for r in rows]
+        assert all(math.isfinite(v) for v in psi)
+        a = float(rows[1]["x_n"])
+        assert 2.0 * a * math.fsum(v * v for v in psi[1::2]) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("argv, row", [
         (["partition", "--N", "5", "--L", "1e-12", "--beta", "1e300"],
