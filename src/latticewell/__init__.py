@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .bloch import (
     DensityMatrix,
     density_matrix_continuum,
+    density_matrix_dense,
     density_matrix_normalized,
     density_matrix_spectral,
     propagate_bloch,

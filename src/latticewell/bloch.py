@@ -13,10 +13,10 @@ with odd n + n' and doubled on pairs with even n + n'.
 Since sin a sin b = [cos(a - b) - cos(a + b)]/2, the spectral sum is also
 rho[n, n'] = [c(|n - n'|) - c(n + n')]/L with c(k) = sum_j exp(-beta E_j)
 cos(pi j k/N), a DCT-I of the Boltzmann weights that one real FFT of length
-2N gives (Strang, SIAM Rev. 1999; Martucci, IEEE TSP 1994).  Above a small
-N, density_matrix_spectral builds rho that way; both of its paths take the
-closed-form spectrum, while the Bloch integration takes only the stencil
-matrix, so the two constructions stay independent.
+2N gives (Strang, SIAM Rev. 1999; Martucci, IEEE TSP 1994): that is
+density_matrix_spectral, and the paper's sum as written, density_matrix_dense,
+is its reference.  Both take the closed-form spectrum, while the Bloch
+integration takes only the stencil matrix, so the routes stay independent.
 """
 
 import math
@@ -28,10 +28,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .calculus import definite_integral
 from .lattice import LatticeFunction, LatticeSpec
 from .spectrum import ParticleSpec, Spectrum, build_hamiltonian_matrix, sine_mode_matrix
-
-#: Largest N whose spectral density matrix is the dense sine-table product;
-#: above it the FFT path is faster (see density_matrix_spectral).
-DENSE_MAX_N = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,32 +54,29 @@ def density_matrix_spectral(spectrum: Spectrum, beta: float) -> DensityMatrix:
     At beta = 0 the sum collapses to the lattice delta: identity/a on the
     interior block.
 
-    Up to N = DENSE_MAX_N, the measured crossover of the two costs, rho is
-    the product A^T A of the weighted sine table, O(N^3); that keeps the
-    exact bits of the small configurations, density-matrix.csv among them.
-    Above it rho = [c(|n - n'|) - c(n + n')]/L (module docstring), with c(k),
+    rho = [c(|n - n'|) - c(n + n')]/L (module docstring), with c(k),
     k = 0..N, from one rfft of the even extension (0, w, 0, w reversed) of
     w_j = e^{-beta E_j} and c(2N - k) = c(k): O(N log N) plus one (N+1)^2
     write.  Since w_j = w_{N-j} bit for bit, mirror modes cancel in c at odd
-    k, which is set to exact zeros; so rho is exactly symmetric and exactly
-    +0.0 on the walls and on odd n + n'.  The two paths agree to ~1e-15 of
-    max |rho|, but the FFT's error is absolute, so entries far below
-    max |rho| keep less relative accuracy than in the product.
+    k, which is set to exact zeros; so at every N rho is exactly symmetric
+    and exactly +0.0 on the walls and on odd n + n'.  It agrees with
+    density_matrix_dense to ~1e-15 of max |rho|; that error is absolute, so
+    entries far below max |rho| keep less relative accuracy.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
     lattice = spectrum.lattice
     N, L = lattice.N, lattice.L
-    E = spectrum.energies
-    b = spectrum.boltzmann_beta(beta)
-    if N <= DENSE_MAX_N:
-        A = np.exp(-0.5 * b * E)[:, None] * sine_mode_matrix(N)  # (N-1, N+1)
-        return DensityMatrix((2.0 / L) * (A.T @ A), lattice)
-    w = np.exp(-b * E)
+    w = np.exp(-spectrum.boltzmann_beta(beta) * spectrum.energies)
     c = np.fft.rfft(np.concatenate(([0.0], w, [0.0], w[::-1]))).real / (2.0 * L)  # c(k)/L, k = 0..N
     c[1::2] = 0.0
     W = sliding_window_view(np.concatenate((c[:0:-1], c, c[-2::-1])), N + 1)  # W[i, j] = c(|i + j - N|)/L
     return DensityMatrix(W[N::-1] - W[N:], lattice)
+
+
+def density_matrix_dense(spectrum: Spectrum, beta: float) -> DensityMatrix:
+    """The paper's sum as written, (2/L) A^T A of the e^{-beta E/2}-weighted sine table: the O(N^3) reference."""
+    lattice = spectrum.lattice
+    A = np.exp(-0.5 * spectrum.boltzmann_beta(beta) * spectrum.energies)[:, None] * sine_mode_matrix(lattice.N)
+    return DensityMatrix((2.0 / lattice.L) * (A.T @ A), lattice)
 
 
 def density_matrix_normalized(dm: DensityMatrix, Z: float) -> DensityMatrix:

@@ -114,7 +114,10 @@ class Spectrum:
         at 1e300 keeps every product finite, so NumPy warns of no overflow, and
         changes no factor: past the cap each nonzero exponent exceeds
         4e300/N^2 > 746 for any N below 1e148, and exp of it is 0.0 either way.
+        This is the one check of beta >= 0 for every Boltzmann factor.
         """
+        if beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta!r}")
         eps0 = self.epsilon0
         return _BETA_EPS0_CAP / eps0 if beta * eps0 > _BETA_EPS0_CAP else beta
 

@@ -51,11 +51,15 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
     """mu = beta hbar^2 pi^2 / (2 m* L^2), the dimensionless theta argument.
 
     Every continuum route computes mu first, so this is the one check of
-    their arguments: beta > 0 and L > 0 (NaN fails both).
+    their arguments: beta > 0 and L > 0 (NaN fails both).  A 2 m* L^2 that
+    underflows to 0 raises OverflowError; a mu = inf from a large beta is Z = 0.
     """
     if not (beta > 0 and L > 0):
         raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
-    return beta * particle.hbar ** 2 * math.pi ** 2 / (2.0 * particle.m_star * L * L)
+    den = 2.0 * particle.m_star * L * L
+    if not den:
+        raise OverflowError(f"the theta argument mu = beta hbar^2 pi^2/(2 m* L^2) overflows at L={L!r}")
+    return beta * particle.hbar ** 2 * math.pi ** 2 / den
 
 
 def _gaussian_series(c: float) -> float:
@@ -99,8 +103,6 @@ def _gaussian_series(c: float) -> float:
 
 def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
     """Direct sum over the N-1 lattice modes; Z(0) = N-1."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
     Z = float(np.sum(np.exp(-spectrum.boltzmann_beta(beta) * spectrum.energies)))
     return PartitionResult(Z, beta)
 
@@ -153,11 +155,10 @@ def mean_energy(spectrum: Spectrum, beta: float) -> float:
     The weights are shifted to the ground state, so they stay finite at
     large beta and are all 1 at beta = 0, where this is the spectral mean.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    b = spectrum.boltzmann_beta(beta)
     E = spectrum.energies
     E0 = float(E.min())
-    w = np.exp(-spectrum.boltzmann_beta(beta) * (E - E0))
+    w = np.exp(-b * (E - E0))
     return E0 + float(np.sum((E - E0) * w) / np.sum(w))
 
 

@@ -12,28 +12,20 @@ from latticewell import (
     ParticleSpec,
     build_hamiltonian_matrix,
     density_matrix_continuum,
+    density_matrix_dense,
     density_matrix_normalized,
     density_matrix_spectral,
     partition_discrete,
     propagate_bloch,
     build_spectrum,
-    sine_mode_matrix,
     trace_integral,
 )
-from latticewell.bloch import DENSE_MAX_N
 
 NATURAL = ParticleSpec.natural()
 
 
 def spectrum_for(N, a=1.0):
     return build_spectrum(LatticeSpec(N, a), NATURAL)
-
-
-def _density_matrix_dense(spectrum, beta):
-    """The weighted sine-table product A^T A at any N: the oracle of the FFT path."""
-    lattice = spectrum.lattice
-    A = np.exp(-0.5 * beta * spectrum.energies)[:, None] * sine_mode_matrix(lattice.N)
-    return (2.0 / lattice.L) * (A.T @ A)
 
 
 def _assert_exact_structure(rho):
@@ -134,21 +126,18 @@ class TestSpectralConstruction:
 
 
 class TestFFTPath:
-    @pytest.mark.parametrize("N", [DENSE_MAX_N, DENSE_MAX_N + 1, DENSE_MAX_N + 2])
-    def test_either_side_of_the_threshold(self, N):
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 16, 31, 32, 33, 34])
+    def test_matches_dense_product_with_exact_structure(self, N):
         spec = spectrum_for(N, 0.3)
         beta = 0.8 / spec.epsilon0
         rho = density_matrix_spectral(spec, beta).rho
-        ref = _density_matrix_dense(spec, beta)
-        if N <= DENSE_MAX_N:
-            assert np.array_equal(rho, ref)  # the sine-table product itself
-        else:
-            assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
-            _assert_exact_structure(rho)
+        ref = density_matrix_dense(spec, beta).rho
+        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
+        _assert_exact_structure(rho)
 
     @settings(deadline=None, derandomize=True)
     @given(
-        N=st.integers(min_value=DENSE_MAX_N + 1, max_value=600),
+        N=st.integers(min_value=2, max_value=600),
         a=st.floats(min_value=1e-2, max_value=10.0),
         log_beta_eps0=st.floats(min_value=-4.0, max_value=3.0),
     )
@@ -157,7 +146,7 @@ class TestFFTPath:
         spec = spectrum_for(N, a)
         beta = 10.0 ** log_beta_eps0 / spec.epsilon0
         rho = density_matrix_spectral(spec, beta).rho
-        ref = _density_matrix_dense(spec, beta)
+        ref = density_matrix_dense(spec, beta).rho
         assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
         _assert_exact_structure(rho)
 

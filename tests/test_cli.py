@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from latticewell import ParticleSpec
@@ -231,36 +232,40 @@ class TestExitStatuses:
         assert main([arg.format(conf=conf) for arg in argv]) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, scale", [
-        (["spectrum", "--N", "5", "--a", "1e-170"], True),
-        (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], False),
-        (["mean-energy", "--N", "6", "--beta", "1e-320"], False),
-        (["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"], True),
-        (["partition", "--N", "6", "--natural", "--T", "1e-320"], False),
-        (["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"], False),
-        (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], False),
-        (["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"], True),
-        (["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"], True),
-        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], True),
-        (["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"], False),
-        (["wavefunction", "--N", "2", "--a", "1.7e308"], False),
-        (["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"], False),
-        (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], False),
-        (["density-matrix", "--N", "5", "--a", "1e-170", "--beta", "1"], True),
-        (["heat-capacity", "--N", "6", "--a", "1e-170", "--T", "1"], True),
+    @pytest.mark.parametrize("argv, quantity", [
+        (["spectrum", "--N", "5", "--a", "1e-170"], "energy scale"),
+        (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], "theta argument"),
+        (["mean-energy", "--N", "6", "--beta", "1e-320"], None),
+        (["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"], "energy scale"),
+        (["partition", "--N", "6", "--natural", "--T", "1e-320"], None),
+        (["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"], None),
+        (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], None),
+        (["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"], "energy scale"),
+        (["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"], "energy scale"),
+        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], "energy scale"),
+        (["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"], None),
+        (["wavefunction", "--N", "2", "--a", "1.7e308"], None),
+        (["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"], None),
+        (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], None),
+        (["density-matrix", "--N", "5", "--a", "1e-170", "--beta", "1"], "energy scale"),
+        (["heat-capacity", "--N", "6", "--a", "1e-170", "--T", "1"], "energy scale"),
+        (["partition", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
+        (["mean-energy", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
     ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
             "beta-from-T", "T-from-beta", "density-beta-from-T",
             "energy-scale-hbar", "energy-scale-a", "density-energy-scale", "Z-closed",
-            "width", "x-column", "T-underflow", "density-a-squared", "heat-capacity-a-squared"])
-    def test_arithmetic_underflow_is_domain_error(self, argv, scale, capsys):
+            "width", "x-column", "T-underflow", "density-a-squared", "heat-capacity-a-squared",
+            "theta-argument-continuum", "theta-argument-mean-energy"])
+    def test_arithmetic_underflow_is_domain_error(self, argv, quantity, capsys):
         # a^2, L^2 or the finite-difference step underflows to 0 and is divided
         # by, 1/(k_B x) turning T into beta or beta into T leaves (0, inf), or
         # the energy scale, N*a, Z_closed or x = Theta/T overflows; the energy
-        # scale names itself, whether a^2 underflows or hbar^2 overflows
+        # scale names itself, whether a^2 underflows or hbar^2 overflows, and
+        # the theta argument names itself when 2 m* L^2 underflows
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
-        assert ("energy scale" in err) == scale
+        assert [q for q in ("energy scale", "theta argument") if q in err] == ([quantity] if quantity else [])
 
     def test_underflowed_partition_prints_zero(self, capsys):
         # Z underflows at beta = 1e5; F comes from the closed form, which does not
@@ -271,7 +276,7 @@ class TestExitStatuses:
         assert math.isfinite(float(row["F"])) and float(row["Z_closed"]) > 0
 
     @pytest.mark.parametrize("beta_E0", [730.0, 746.0, 1e4, 1e300])
-    @pytest.mark.parametrize("N", [5, 40], ids=["dense", "fft"])
+    @pytest.mark.parametrize("N", [5, 40], ids=["N5", "N40"])
     def test_normalized_density_matrix_at_large_beta(self, N, beta_E0, capsys):
         # rho and Z both carry exp(-beta E0), which is subnormal past beta E0 ~ 708
         # and 0 past ~745; their ratio is finite, and its odd-site trace is 1
@@ -300,10 +305,13 @@ class TestExitStatuses:
          "1.0000000000000001e+300,4.3186437851565778e+24,5.0000000157979223e-301"),
         (["density-matrix", "--N", "5", "--L", "1e-12", "--beta", "1e300"], None),
         (["density-matrix", "--N", "64", "--L", "1e-12", "--beta", "1e300"], None),
-    ], ids=["partition", "mean-energy", "density-dense", "density-fft"])
+        (["partition", "--L", "1e-160", "--beta", "1", "--natural"],
+         "1,nan,0,3.9894228040143268e-161,0,369.33255341225197"),
+    ], ids=["partition", "mean-energy", "density-N5", "density-N64", "theta-argument-inf"])
     def test_overflowing_boltzmann_exponent_prints_the_limit(self, argv, row, capsys):
-        # beta * E overflows: every factor exp(-beta E) is 0 and the mean energy
-        # is E0, with no NumPy RuntimeWarning (an error under this suite)
+        # beta * E or mu overflows: every factor exp(-beta E) or exp(-mu n^2) is 0
+        # and the mean energy is E0, with no NumPy RuntimeWarning (an error under
+        # this suite)
         code, out = run_cli(argv, capsys)
         assert code == 0
         lines = out.splitlines()
@@ -376,6 +384,24 @@ class TestOutput:
         code, out = run_cli(list(GOLDEN_ARGS[name]), capsys)
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    def test_density_matrix_golden_is_the_exact_sum(self):
+        # the paper's sum (2/L) sum_j exp(-beta E_j) sin(pi j n/N) sin(pi j n'/N)
+        # at 40 digits, for the golden config: N = 5, a = 1, beta = 2, E_j = sin^2(pi j/N)/2
+        N, beta = 5, 2
+        rows = csv.DictReader(io.StringIO((GOLDEN / "density-matrix.csv").read_text()))
+        rho = {(int(r["n"]), int(r["n_prime"])): r["rho"] for r in rows}
+        with mpmath.workdps(40):
+            sin = [mpmath.sinpi(mpmath.mpf(k) / N) for k in range(N * N)]  # sin(pi k/N) for k = j n < N^2
+            ref = {(n, n_prime): 2 * mpmath.fsum(mpmath.exp(-beta * sin[j] ** 2 / 2) * sin[j * n] * sin[j * n_prime]
+                                                 for j in range(1, N)) / N
+                   for n in range(N + 1) for n_prime in range(N + 1)}
+            assert rho.keys() == ref.keys()
+            bound = 2 * sys.float_info.epsilon * max(abs(v) for v in ref.values())
+            errors = {key: abs(mpmath.mpf(float(rho[key])) - ref[key]) for key in ref}
+            assert max(errors.values()) <= bound, errors
+        odd = [(n, n_prime) for (n, n_prime) in rho if 0 < n < N and 0 < n_prime < N and (n + n_prime) % 2]
+        assert len(odd) == 8 and all(rho[key] == "0" for key in odd)
 
     @pytest.mark.parametrize("name", sorted(ROUND_TRIP_ARGS))
     def test_csv_json_round_trip(self, name, capsys):
