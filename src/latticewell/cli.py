@@ -22,7 +22,7 @@ its exclusive pair (a/L, beta/T, natural/SI).
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read and an
 --out path that cannot be written; 3 domain error, including a quantity that
-overflows (beta or T from the other, energy scale, width, Z_closed, x);
+overflows (beta or T from the other, energy scale, width, Z_closed, Z_theta, x);
 4 numeric error (series cap hit).
 """
 
@@ -302,9 +302,7 @@ def _beta_value(args: argparse.Namespace, particle: ParticleSpec) -> float:
 
 
 def _beta_grid(args: argparse.Namespace, particle: ParticleSpec) -> list[float]:
-    if args.sweep is not None:
-        return args.sweep.values()
-    return [_beta_value(args, particle)]
+    return args.sweep.values() if args.sweep is not None else [_beta_value(args, particle)]
 
 
 def _cmd_spectrum(args: argparse.Namespace):

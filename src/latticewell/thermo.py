@@ -3,8 +3,8 @@
 Four routes to Z: the discrete sum over the N-1 lattice modes, the continuum
 sum over parabolic levels, its closed Gaussian-integral form
 L sqrt(m*/2 pi beta hbar^2), and the theta-function form (theta3(mu) - 1)/2
-with mu = beta hbar^2 pi^2 / (2 m* L^2).  The theta form returns the continuum
-sum's own series, so it is still a copy of that route (see partition_theta).
+with mu = beta hbar^2 pi^2 / (2 m* L^2).  Below mu = 1 the four share no series
+(the theta form sums Jacobi's, in pi^2/mu); from mu = 1 up theta and sum are one.
 Every route returns a PartitionResult, which holds only Z and beta: mu comes
 from theta_argument, and F = -ln Z / beta from Z itself, so a discrete Z that
 underflows to 0 has no F (the CLI's F column is the closed form's).  Mean
@@ -140,13 +140,19 @@ def theta3_poisson(mu: float) -> float:
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Continuum partition function (theta3(mu) - 1) / 2, returned as the series S.
+    """Continuum partition function (theta3(mu) - 1) / 2; a Z that overflows raises OverflowError.
 
-    theta3 = 1 + 2S with S = sum_{n>=1} exp(-mu n^2), and (1 + 2S) - 1 cancels S
-    away at large mu.  S is partition_continuum_sum's series, so this route is
-    a copy of it; the series is cross-checked against theta3_poisson instead.
+    Below mu = 1 it is (theta3_poisson(mu) - 1) / 2, a series in exp(-(pi^2/mu) n^2)
+    that shares no term with the continuum sum.  That subtraction loses a factor
+    theta3/(theta3 - 1) of accuracy (2.3 at mu = 1, 12.6 at mu = pi), so from mu = 1
+    up this route is the direct series S = (theta3 - 1)/2 of partition_continuum_sum.
     """
-    return PartitionResult(_gaussian_series(theta_argument(L, particle, beta)), beta)
+    mu = theta_argument(L, particle, beta)
+    if mu >= 1.0:
+        return PartitionResult(_gaussian_series(mu), beta)
+    if not mu or math.isinf(math.pi / mu):  # 2 m* L^2 overflowed, or mu is subnormal
+        raise OverflowError(f"Z_theta overflows at L={L!r}, beta={beta!r}")
+    return PartitionResult(0.5 * (theta3_poisson(mu) - 1.0), beta)
 
 
 def mean_energy(spectrum: Spectrum, beta: float) -> float:
@@ -168,8 +174,6 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
     Analytically this is 1/(2 beta) (equipartition); the finite difference
     keeps the route independent of that identity.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
     h = 1e-4 * beta
     zp = partition_continuum_closed(L, particle, beta + h).Z
     zm = partition_continuum_closed(L, particle, beta - h).Z
@@ -179,9 +183,7 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
 def characteristic_temperature(spectrum: Spectrum) -> float:
     """Theta = |E1 - E2| / (2 k_B), x = Theta / T, with the particle's k_B."""
     if spectrum.lattice.N < 5:
-        raise ValueError(
-            f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}"
-        )
+        raise ValueError(f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}")
     E1, E2 = spectrum.energies[:2].tolist()
     return abs(E1 - E2) / (2.0 * spectrum.particle.k_B)
 

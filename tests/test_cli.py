@@ -403,6 +403,21 @@ class TestOutput:
         odd = [(n, n_prime) for (n, n_prime) in rho if 0 < n < N and 0 < n_prime < N and (n + n_prime) % 2]
         assert len(odd) == 8 and all(rho[key] == "0" for key in odd)
 
+    def test_partition_golden_is_the_exact_continuum(self):
+        # Z_continuum_sum and Z_theta are S(mu) = sum_{n>=1} exp(-mu n^2) with mu = beta pi^2/(2 L^2),
+        # Z_closed is L sqrt(m*/(2 pi beta hbar^2)); 40 digits, golden config L = N = 6, m* = hbar = 1
+        L = 6
+        rows = list(csv.DictReader(io.StringIO((GOLDEN / "partition.csv").read_text())))
+        assert len(rows) == 4
+        with mpmath.workdps(40):
+            for row in rows:
+                beta = mpmath.mpf(float(row["beta"]))
+                mu = beta * mpmath.pi ** 2 / (2 * L * L)
+                S = mpmath.fsum(mpmath.exp(-mu * n * n) for n in range(1, 400))
+                closed = L * mpmath.sqrt(1 / (2 * mpmath.pi * beta))
+                for name, ref in (("Z_continuum_sum", S), ("Z_theta", S), ("Z_closed", closed)):
+                    assert abs(mpmath.mpf(float(row[name])) - ref) <= 2 * sys.float_info.epsilon * ref, (name, row)
+
     @pytest.mark.parametrize("name", sorted(ROUND_TRIP_ARGS))
     def test_csv_json_round_trip(self, name, capsys):
         base = list(ROUND_TRIP_ARGS[name])

@@ -26,6 +26,7 @@ from latticewell import (
     theta3_poisson,
     theta_argument,
 )
+from latticewell import thermo
 from latticewell.thermo import SERIES_CAP, SERIES_RTOL, _gaussian_series
 
 NATURAL = ParticleSpec.natural()
@@ -201,6 +202,48 @@ class TestTheta:
             zt = partition_theta(1.0, NATURAL, beta).Z
             zs = partition_continuum_sum(1.0, NATURAL, beta).Z
             assert zt > 0 and abs(zt - zs) <= 1e-12 * zs
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(log_mu=st.floats(min_value=-10.0, max_value=math.log10(50.0)))
+    def test_partition_theta_matches_sum_property(self, log_mu):
+        # below mu = 1 two independent series, each within ~n_terms eps of exact;
+        # from mu = 1 up one and the same series
+        beta = beta_for_mu(10.0 ** log_mu)
+        mu = theta_argument(1.0, NATURAL, beta)
+        zt = partition_theta(1.0, NATURAL, beta).Z
+        zs = partition_continuum_sum(1.0, NATURAL, beta).Z
+        if mu < 1.0:
+            n_terms = math.ceil(math.sqrt(37.0 / mu))
+            assert abs(zt - zs) <= (n_terms + 4) * EPS * zs
+        else:
+            assert zt == zs
+
+    def test_partition_theta_sums_the_direct_series_only_from_mu_one(self, monkeypatch):
+        # below mu = 1 the series runs at pi^2/mu (theta3_poisson), never at mu itself
+        real, args = _gaussian_series, []
+        monkeypatch.setattr(thermo, "_gaussian_series", lambda c: args.append(c) or real(c))
+        for mu, direct in ((1e-8, False), (0.1, False), (0.999, False), (1.0, True), (2.0, True), (50.0, True)):
+            args.clear()
+            beta = beta_for_mu(mu)
+            m = theta_argument(1.0, NATURAL, beta)
+            assert (m >= 1.0) == direct
+            partition_theta(1.0, NATURAL, beta)
+            assert args == ([m] if direct else [math.pi * math.pi / m])
+
+    def test_partition_theta_below_series_cap(self):
+        # the direct series needs ~6e6 terms at mu = 1e-12; the Poisson side needs one
+        beta = beta_for_mu(1e-12)
+        with pytest.raises(SeriesCapExceeded):
+            partition_continuum_sum(1.0, NATURAL, beta)
+        zt = partition_theta(1.0, NATURAL, beta).Z
+        zc = partition_continuum_closed(1.0, NATURAL, beta).Z
+        assert abs(zt - (zc - 0.5)) <= 4 * EPS * zt
+
+    @pytest.mark.parametrize("L, beta", [(1.0, 1e-310), (1e154, 1.0)])
+    def test_partition_theta_overflow(self, L, beta):
+        # pi/mu overflows at a subnormal mu; 2 m* L^2 overflows to mu = 0
+        with pytest.raises(OverflowError, match="Z_theta"):
+            partition_theta(L, NATURAL, beta)
 
     def test_theta_vs_closed_constant(self):
         # Z_closed - Z_theta -> 1/2 with exponentially small corrections
