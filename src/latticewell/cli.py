@@ -1,11 +1,13 @@
 """Command-line front end emitting CSV/JSON tables for the lattice well model.
 
 Subcommands: spectrum, wavefunction, density-matrix, partition, mean-energy,
-heat-capacity, converge.  Identical configurations produce byte-identical
-output; numbers are written with 17 significant digits so either format
-round-trips exactly.  A JSON document holds four objects: ``columns`` and
-``rows`` are the CSV table, with null where CSV prints nan or inf (JSON has no
-such numbers); ``config`` holds the command and its options as
+heat-capacity, converge.  ``converge --quantity partition`` measures Z_discrete
+against twice the continuum sum: the N-1 lattice modes hold each continuum
+level twice, as n_E and N - n_E.  Identical configurations produce
+byte-identical output; numbers are written with 17 significant digits so
+either format round-trips exactly.  A JSON document holds four objects:
+``columns`` and ``rows`` are the CSV table, with null where CSV prints nan or
+inf (JSON has no such numbers); ``config`` holds the command and its options as
 parsed from flags and config file, null where an option was not given (the
 sweep as its text); ``meta`` holds the package version, the unit mode and the
 m_star, hbar and k_B the run used.
@@ -22,8 +24,8 @@ its exclusive pair (a/L, beta/T, natural/SI).
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read and an
 --out path that cannot be written; 3 domain error, including a quantity that
-overflows (beta or T from the other, energy scale, width, Z_closed, Z_theta, x);
-4 numeric error (series cap hit).
+overflows (beta or T from the other, energy scale, width, Z_closed, Z_theta,
+H_mean_continuum, x); 4 numeric error (series cap hit).
 """
 
 import argparse
@@ -172,7 +174,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", parents=[common, thermal, swept], help="lattice-to-continuum convergence over N")
     p.add_argument("--n-E", type=int, default=1, help="mode tracked by quantity=energy (default 1)")
     p.add_argument("--quantity", choices=("energy", "partition"), default="energy",
-                   help="quantity to converge (default energy)")
+                   help="quantity to converge (default energy); Z_discrete tends to twice the continuum sum")
     return parser
 
 
@@ -404,7 +406,7 @@ def _cmd_converge(args: argparse.Namespace):
         beta = _beta_value(args, particle)
         z_cont = partition_continuum_sum(L, particle, beta).Z
         value = [partition_discrete(build_spectrum(LatticeSpec(N, L / N), particle), beta).Z for N in Ns]
-        error = np.abs(np.asarray(value) - z_cont)
+        error = np.abs(np.asarray(value) - 2.0 * z_cont)  # the N-1 modes hold each level twice
     return {"N": Ns, "quantity": [args.quantity] * len(Ns), "value": value, "error_vs_continuum": error}
 
 

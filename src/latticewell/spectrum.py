@@ -130,7 +130,10 @@ class Spectrum:
         N, L = self.lattice.N, self.lattice.L
         if not 1 <= n_E <= N - 1:
             raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
-        return SpectralMode(int(n_E), 1.0 / math.sqrt(L) if 2 * n_E == N else math.sqrt(2.0 / L))
+        if 2 * n_E == N:
+            return SpectralMode(int(n_E), 1.0 / math.sqrt(L))
+        r = 2.0 / L  # split the root only where 2/L overflows: sqrt(2/L) is the more accurate
+        return SpectralMode(int(n_E), math.sqrt(r) if math.isfinite(r) else math.sqrt(2.0) / math.sqrt(L))
 
 
 def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> float:
@@ -145,11 +148,11 @@ def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> f
 
 
 def energy_continuum(n_E, L: float, particle: ParticleSpec):
-    """Parabolic continuum eigenvalue hbar^2 pi^2 / (2 m* L^2) * n_E^2."""
+    """Parabolic continuum eigenvalue pi^2 n_E^2 times energy_scale(L) = hbar^2 / (2 m* L^2)."""
     n_E = np.asarray(n_E)
     if np.any(n_E < 1):
         raise ValueError(f"n_E must be >= 1, got {n_E}")
-    return particle.hbar ** 2 * math.pi ** 2 / (2.0 * particle.m_star * L * L) * n_E * n_E
+    return particle.energy_scale(L) * math.pi ** 2 * n_E * n_E
 
 
 def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:

@@ -169,7 +169,7 @@ def mean_energy(spectrum: Spectrum, beta: float) -> float:
 
 
 def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> float:
-    """-d ln Z / d beta of the closed continuum form, by central difference.
+    """-d ln Z / d beta of the closed continuum form, by central difference; an H that overflows raises OverflowError.
 
     Analytically this is 1/(2 beta) (equipartition); the finite difference
     keeps the route independent of that identity.
@@ -177,7 +177,10 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
     h = 1e-4 * beta
     zp = partition_continuum_closed(L, particle, beta + h).Z
     zm = partition_continuum_closed(L, particle, beta - h).Z
-    return -(math.log(zp) - math.log(zm)) / (2.0 * h)
+    H = -(math.log(zp) - math.log(zm)) / (2.0 * h)
+    if not math.isfinite(H):
+        raise OverflowError(f"H_mean_continuum overflows at L={L!r}, beta={beta!r}")
+    return H
 
 
 def characteristic_temperature(spectrum: Spectrum) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticewell import (
+    LatticeFunction,
     LatticeSpec,
     ParticleSpec,
     build_hamiltonian_matrix,
@@ -20,6 +21,7 @@ from latticewell import (
     build_spectrum,
     trace_integral,
 )
+from latticewell import calculus
 
 NATURAL = ParticleSpec.natural()
 
@@ -195,6 +197,18 @@ class TestTraceIntegral:
             beta = be / spec.epsilon0
             dm = density_matrix_spectral(spec, beta)
             assert trace_integral(dm) == pytest.approx(partition_discrete(spec, beta).Z, abs=1e-12)
+
+    def test_reads_the_cumulative_antiderivative_not_the_series(self, monkeypatch):
+        # antiderivative_series is the paper's series, kept only as the reference of antiderivative
+        def series(*args):
+            raise AssertionError("antiderivative_series is the reference, not a route")
+
+        monkeypatch.setattr(calculus, "antiderivative_series", series)
+        spec = spectrum_for(7, 0.6)
+        beta = 1.0 / spec.epsilon0
+        assert trace_integral(density_matrix_spectral(spec, beta)) == pytest.approx(
+            partition_discrete(spec, beta).Z, abs=1e-12)
+        assert calculus.definite_integral(LatticeFunction(np.ones(9)), 2, 7, 0.5) == pytest.approx(2.0, abs=1e-15)
 
 
 class TestPropagation:

@@ -12,7 +12,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from latticewell import ParticleSpec
+from latticewell import ParticleSpec, partition_continuum_sum
 from latticewell.cli import ConfigError, SweepSpec, _lattice, _particle, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -335,6 +335,24 @@ class TestExitStatuses:
         expected = 6.0 / math.sqrt(2.0 * math.pi) / math.sqrt(1.7e308) if column == "Z_closed" else 0.5 / 1.7e308
         assert float(row[column]) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("argv, code, named", [
+        (["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"], 0, None),
+        (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
+        (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
+        (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
+    ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L"])
+    def test_no_silent_non_finite_output(self, argv, code, named, capsys):
+        # each printed inf or nan with exit 0: E_continuum as hbar^2 pi^2 overflowed,
+        # H_mean_continuum ~ 1/(2 beta) overflows, and sqrt(2/L) as 2/L overflowed
+        # (the constant, 2.45e153, is representable)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        cells = [cell for row in list(csv.reader(io.StringIO(captured.out)))[1:] for cell in row]
+        assert (len(cells) > 0) == (code == 0)
+        assert all(math.isfinite(float(cell)) for cell in cells)
+        if named:
+            assert f"domain error: {named} overflows" in captured.err
+
 
 class TestOutput:
     def test_spectrum_n4_values(self, capsys):
@@ -364,6 +382,17 @@ class TestOutput:
         for row in csv.DictReader(io.StringIO(out)):
             zt, zs = float(row["Z_theta"]), float(row["Z_continuum_sum"])
             assert zt > 0 and abs(zt - zs) <= 1e-12 * zs
+
+    @pytest.mark.parametrize("beta", ["0.1", "1"])
+    def test_converge_partition_error_is_second_order(self, beta, capsys):
+        # the N-1 modes hold each continuum level twice, so Z_discrete tends to twice
+        # the continuum sum, and its error against that falls as 1/N^2
+        code, out = run_cli(["converge", "--L", "1", "--natural", "--beta", beta, "--sweep", "128:2001:5:log",
+                             "--quantity", "partition"], capsys)
+        assert code == 0
+        z_c = partition_continuum_sum(1.0, ParticleSpec.natural(), float(beta)).Z
+        scaled = [float(r["error_vs_continuum"]) * int(r["N"]) ** 2 / z_c for r in csv.DictReader(io.StringIO(out))]
+        assert max(scaled) == pytest.approx(min(scaled), rel=0.01)
 
     def test_partition_nan_discrete_without_n(self, capsys):
         code, out = run_cli(["partition", "--natural", "--L", "1", "--beta", "0.1"], capsys)

@@ -2,15 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from latticewell import (
+    DensityMatrix,
     LatticeFunction,
     LatticeSpec,
     ParticleSpec,
     build_hamiltonian_matrix,
     build_spectrum,
+    centered_diff1,
     centered_diff2,
     continuum_limit_error,
     definite_integral,
@@ -19,11 +22,14 @@ from latticewell import (
     energy_continuum,
     energy_discrete,
     numeric_spectrum,
+    propagate_bloch,
     sin_pi_ratio,
     sine_mode_matrix,
 )
 
 NATURAL = ParticleSpec.natural()
+#: (n + 1)^2 on sites 0..6, nonzero on both walls, so the stencils see the zero extension beyond them.
+SQUARES = LatticeFunction([(n + 1.0) ** 2 for n in range(7)])
 
 
 def test_lattice_spec_validation():
@@ -33,6 +39,30 @@ def test_lattice_spec_validation():
         LatticeSpec(5, -0.1)
     lat = LatticeSpec(8, 0.5)
     assert lat.L == 4.0
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: centered_diff1(SQUARES, 0, 0.5), 4.0),
+    (lambda: centered_diff1(SQUARES, 6, 0.5), -36.0),
+    (lambda: centered_diff2(SQUARES, 0, 0.5), 7.0),
+    (lambda: centered_diff2(SQUARES, 1, 0.5), 8.0),
+    (lambda: centered_diff2(SQUARES, 5, 0.5), -56.0),
+    (lambda: centered_diff2(SQUARES, 6, 0.5), -73.0),
+    (lambda: eigenfunction(build_spectrum(LatticeSpec(9), NATURAL).mode(7), LatticeSpec(5)), ValueError),
+    (lambda: continuum_limit_error(8, 8), ValueError),
+    (lambda: DensityMatrix(np.zeros((4, 4)), LatticeSpec(4)), ValueError),
+    (lambda: propagate_bloch(LatticeSpec(4), NATURAL, -1.0), ValueError),
+    (lambda: LatticeFunction([1.0, 2.0]), ValueError),
+], ids=["diff1-site-0", "diff1-site-N", "diff2-site-0", "diff2-site-1", "diff2-site-N-1", "diff2-site-N",
+        "eigenfunction-foreign-mode", "continuum-error-n-N", "density-matrix-shape", "bloch-negative-beta",
+        "lattice-function-2-values"])
+def test_wall_stencils_and_input_checks(call, expected):
+    # beyond the walls f is 0, so f(-1) = f(N+1) = 0 enter the centered differences
+    if isinstance(expected, float):
+        assert call() == expected
+    else:
+        with pytest.raises(expected):
+            call()
 
 
 def test_particle_spec_validation():
@@ -100,6 +130,13 @@ class TestEnergies:
         # hbar = m* = 1, L = 1: E_1 = pi^2/2, scalar oracle
         assert energy_continuum(1, 1.0, NATURAL) == pytest.approx(4.934802200544679, rel=1e-15)
         assert energy_continuum(2, 1.0, NATURAL) == pytest.approx(4 * energy_continuum(1, 1.0, NATURAL))
+
+    def test_continuum_value_where_hbar_squared_pi_squared_overflows(self):
+        # hbar^2 = 1e308 is finite, hbar^2 pi^2 is not; the energy scale divides by 2 m* L^2 first
+        particle, L = ParticleSpec.si(hbar=1e154), 4e160
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(1e154) ** 2 * mpmath.pi ** 2 / (2 * mpmath.mpf(9.1e-31) * mpmath.mpf(L) ** 2)
+            assert energy_continuum(1, L, particle) == pytest.approx(float(exact), rel=2 * np.finfo(float).eps)
 
     def test_degeneracy_exact(self):
         for N in (7, 12, 101):
