@@ -4,8 +4,9 @@ Subcommands: spectrum, wavefunction, density-matrix, partition, mean-energy,
 heat-capacity, converge.  ``converge --quantity partition`` measures Z_discrete
 against twice the continuum sum: the N-1 lattice modes hold each continuum
 level twice, as n_E and N - n_E.  Identical configurations produce
-byte-identical output; numbers are written with 17 significant digits so
-either format round-trips exactly.  A JSON document holds four objects:
+byte-identical output; CSV writes numbers with 17 significant digits and
+JSON with Python's shortest repr (0.1, not 0.10000000000000001), so either
+format round-trips exactly.  A JSON document holds four objects:
 ``columns`` and ``rows`` are the CSV table, with null where CSV prints nan or
 inf (JSON has no such numbers); ``config`` holds the command and its options as
 parsed from flags and config file, null where an option was not given (the

@@ -12,6 +12,7 @@ energies and the two-level (Schottky) heat capacity derive from these.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ SERIES_RTOL = 1e-16
 #: Hard cap on series length; hitting it raises SeriesCapExceeded.
 SERIES_CAP = 10 ** 6
 # Terms summed one by one with math.exp before the NumPy blocks start, and
-# the largest block (8192 float64 terms = 64 KiB per temporary).
+# the smallest and largest block (8192 float64 terms = 64 KiB per temporary).
 _SERIES_HEAD = 64
+_SERIES_BLOCK_MIN = 256
 _SERIES_BLOCK_CAP = 8192
 
 
@@ -63,41 +65,67 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
 
 
 def _gaussian_series(c: float) -> float:
-    """sum_{n>=1} exp(-c n^2), truncated at machine precision.
+    """sum_{n>=1} exp(-c n^2), summed in increasing n until a term is negligible.
 
     The terms are added one at a time in increasing n, and the sum stops
     after the first term with term <= SERIES_RTOL * (running total).  Both
     the stopping index and the last bits of the total depend on that order,
     and so do the golden CSVs: a pairwise or blocked sum would change them.
 
-    The first _SERIES_HEAD terms are summed with libm's math.exp, so every
-    series that stops there (c >= ~0.01, all the golden configs) is
-    bit-identical to a plain loop.  Longer series go on in NumPy blocks:
-    np.exp of the same arguments (-c n) n, then a sequential np.cumsum seeded
-    with the carried total, which keeps the order.  np.exp differs from
-    libm's exp by 1 ulp on ~5 % of arguments; over a long sum that moves the
-    total by ~1 ulp.  Blocks double up to _SERIES_BLOCK_CAP terms, which
-    bounds the temporaries at 64 KiB each whatever c is.  A sum S takes
-    O(sqrt(ln(1/(SERIES_RTOL S)) / c)) terms at ~10 ns each in the tail, so
-    one that hits SERIES_CAP raises after ~10 ms.
+    Stopping at n leaves out a tail below term * q / (1 - q) with
+    q = exp(-2 c n), so the sum falls short by at most SERIES_RTOL * q/(1 - q)
+    of itself, ~SERIES_RTOL / (2 c n) for small c n: machine precision for
+    c >= ~0.01, but 8.7e-13 (~3,900 eps) at c = 1e-10.
+
+    The sum S is below B = (1/2) sqrt(pi/c).  Where the first _SERIES_HEAD
+    terms can stop it (exp(-64^2 c) <= SERIES_RTOL * B, c >= ~0.008, all the
+    golden configs), they are summed with libm's math.exp, so every series
+    that stops there is bit-identical to a plain loop.  Below that no head
+    term can stop it, and the NumPy blocks start at n = 1.  A block holds
+    np.exp of the same arguments (-c n) n and their sequential cumulative
+    sum seeded with the carried total, which keeps the order.  np.exp
+    differs from libm's exp by 1 ulp on ~5 % of arguments; over a long sum
+    that moves the total by ~1 ulp.  The first block covers the predicted
+    length sqrt(ln(1/(SERIES_RTOL B)) / c), rounded up to a multiple of
+    _SERIES_BLOCK_MIN and at most _SERIES_BLOCK_CAP; later blocks hold
+    _SERIES_BLOCK_CAP terms, which bounds the temporaries at 64 KiB each
+    whatever c is.  The stop rule is tested term by term only in a block
+    whose smallest term can meet it.  The sum takes
+    O(sqrt(ln(1/(SERIES_RTOL S)) / c)) terms at ~6 ns each in the tail, so
+    one that hits SERIES_CAP raises after ~6 ms.
     """
-    total = 0.0
-    for n in range(1, _SERIES_HEAD + 1):
-        term = math.exp(-c * n * n)
-        total += term
-        if term <= SERIES_RTOL * total:
-            return total
-    start, size = _SERIES_HEAD + 1, 256
+    start, size, total = 1, _SERIES_BLOCK_MIN, 0.0
+    # c * 64^2 >= 40 always leaves the head able to stop; c = 0 and nan take the head
+    if 0.0 < c < 40.0 / _SERIES_HEAD ** 2 and (
+            tol := SERIES_RTOL * 0.5 * math.sqrt(math.pi / c)) < math.exp(-c * _SERIES_HEAD ** 2):
+        # S is a little below B, so the sum stops at most ~1 term past this length; sizes
+        # rounded to _SERIES_BLOCK_MIN keep the heap from growing on many distinct ones
+        length = math.sqrt(math.log(1.0 / tol) / c) + 2.0
+        size = min(_SERIES_BLOCK_MIN * math.ceil(length / _SERIES_BLOCK_MIN), _SERIES_BLOCK_CAP)
+    else:
+        for n in range(1, _SERIES_HEAD + 1):
+            term = math.exp(-c * n * n)
+            total += term
+            if term <= SERIES_RTOL * total:
+                return total
+        start = _SERIES_HEAD + 1
     while start <= SERIES_CAP:
         n = np.arange(start, min(start + size, SERIES_CAP + 1), dtype=float)
-        terms = np.exp((-c * n) * n)
-        running = np.cumsum(np.concatenate(([total], terms)))[1:]
-        stop = np.flatnonzero(terms <= SERIES_RTOL * running)
-        if stop.size:
-            return float(running[stop[0]])
+        terms = n * -c
+        terms *= n
+        np.exp(terms, out=terms)
+        running = terms.copy()
+        running[0] += total
+        np.add.accumulate(running, out=running)  # the sequential cumsum of (total, terms...)
+        # running sums do not decrease, so no term above SERIES_RTOL * running[-1] stops the sum
+        if terms.min() <= SERIES_RTOL * running[-1]:
+            stop = terms <= SERIES_RTOL * running
+            i = stop.argmax()
+            if stop[i]:
+                return float(running[i])
         total = float(running[-1])
         start += n.size
-        size = min(2 * size, _SERIES_BLOCK_CAP)
+        size = _SERIES_BLOCK_CAP
     raise SeriesCapExceeded(f"sum of exp(-{c:g} n^2) needs more than {SERIES_CAP} terms")
 
 
@@ -116,10 +144,11 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
     theta_argument(L, particle, beta)  # the one check of beta and L
     d = 2.0 * math.pi * beta * particle.hbar ** 2
-    if math.isinf(d):  # split the root, so that Z stays representable at beta near the float limit
+    r = particle.m_star / d
+    if r < sys.float_info.min:  # split the root where d overflows or m*/d underflows, so that Z stays representable
         Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / (math.sqrt(beta) * particle.hbar)
     else:
-        Z = L * math.sqrt(particle.m_star / d)
+        Z = L * math.sqrt(r)
     if not math.isfinite(Z):
         raise OverflowError(f"Z_closed overflows at L={L!r}, beta={beta!r}")
     return PartitionResult(Z, beta)

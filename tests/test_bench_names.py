@@ -33,6 +33,7 @@ def test_workloads_run_and_check_against_the_library():
     workloads = _load("workloads")
     cv_N, cv_points = workloads.HEAT_CAPACITY_DESIGN[1]
     cv_sweep = (1.0 / workloads.BETA_RANGE[1], 1.0 / workloads.BETA_RANGE[0], cv_points, "log")  # T = 1/beta
+    part_N, part_L, part_points = workloads.PARTITION_DESIGN[-1]
     requests = [
         # the route cross-check calls every library route the bench uses
         workloads.Request("routes", {"N": workloads.ROUTES_N, "beta": 0.5, "steps": workloads.ROUTES_STEPS}),
@@ -46,6 +47,9 @@ def test_workloads_run_and_check_against_the_library():
                                                  "normalized": True}),
         # thermo-sweep's small heat-capacity request
         workloads.cli_request("heat-capacity", {"N": cv_N, "sweep": cv_sweep}),
+        # thermo-sweep's largest partition request: series of up to ~3.5e5 terms per row
+        workloads.cli_request("partition", {"N": part_N, "L": part_L,
+                                            "sweep": (*workloads.BETA_RANGE, part_points, "log")}),
     ]
     for req in requests:
         code, output = workloads.execute(req)

@@ -202,6 +202,13 @@ class TestExitStatuses:
         assert main(["partition", "--N", "5", "--natural", "--beta", "5e-13"]) == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_numeric_error_series_cap_at_underflowed_mu(self, capsys):
+        # mu = beta pi^2/(2 L^2) underflows to 0: the continuum sum of ones hits the cap
+        argv = ["converge", "--L", "1e300", "--natural", "--beta", "1e-300", "--quantity", "partition",
+                "--sweep", "2:4:2:linear"]
+        assert main(argv) == 4
+        assert "numeric error: sum of exp(-0 n^2) needs more than 1000000 terms" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["converge", "--L", "1", "--natural", "--sweep", "0.5:3:3:linear"],
         ["converge", "--L", "1", "--sweep", "1:3:3:linear", "--quantity", "partition", "--beta", "1"],
@@ -340,11 +347,15 @@ class TestExitStatuses:
         (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
         (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
         (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
-    ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L"])
+        (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
+        (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
+    ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
+            "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
-        # each printed inf or nan with exit 0: E_continuum as hbar^2 pi^2 overflowed,
-        # H_mean_continuum ~ 1/(2 beta) overflows, and sqrt(2/L) as 2/L overflowed
-        # (the constant, 2.45e153, is representable)
+        # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
+        # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
+        # (the constant, 2.45e153, is representable), and Z_closed ~ 1.5e-13 as
+        # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed
         assert main(argv) == code
         captured = capsys.readouterr()
         cells = [cell for row in list(csv.reader(io.StringIO(captured.out)))[1:] for cell in row]

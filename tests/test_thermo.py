@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,15 +52,19 @@ def beta_for_mu(mu, L=1.0):
 EPS = np.finfo(float).eps
 
 
-def _gaussian_series_reference(c):
-    """The per-term loop: libm exp, sequential sum, same stop rule and cap."""
+def _gaussian_series_reference_stop(c):
+    """The per-term loop: libm exp, sequential sum, same stop rule and cap; (sum, last n)."""
     total = 0.0
     for n in range(1, SERIES_CAP + 1):
         term = math.exp(-c * n * n)
         total += term
         if term <= SERIES_RTOL * total:
-            return total
+            return total, n
     raise SeriesCapExceeded(c)
+
+
+def _gaussian_series_reference(c):
+    return _gaussian_series_reference_stop(c)[0]
 
 
 class TestPartitionDiscrete:
@@ -131,6 +136,13 @@ class TestPartitionContinuum:
             beta = beta_for_mu(mu)
             res = partition_continuum_closed(1.0, NATURAL, beta)
             assert res.Z == pytest.approx(0.5 * math.sqrt(math.pi / mu), rel=1e-13)
+
+    def test_closed_form_where_the_ratio_underflows(self):
+        # m*/(2 pi beta hbar^2) ~ 1e-328 underflows, but Z_closed ~ 1.5e-13 is representable
+        particle, L, beta = ParticleSpec.si(hbar=1e154), 4e150, 1e-12
+        with mpmath.workdps(40):
+            exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * beta * mpmath.mpf(particle.hbar) ** 2))
+        assert partition_continuum_closed(L, particle, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
 
     def test_closed_linear_in_width(self):
         beta = 0.37
@@ -278,6 +290,63 @@ class TestGaussianSeries:
         for fn in (_gaussian_series, _gaussian_series_reference):
             with pytest.raises(SeriesCapExceeded):
                 fn(outside)
+
+    @pytest.fixture
+    def exp_calls(self, monkeypatch):
+        """The arguments of every math.exp call the series makes: the head rule's, then one per head term."""
+        calls = []
+
+        class SpyMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                calls.append(x)
+                return math.exp(x)
+
+        monkeypatch.setattr(thermo, "math", SpyMath())
+        return calls
+
+    def test_head_rule_keeps_every_head_stop(self, exp_calls):
+        # every series that stops within the 64-term libm head still runs it and
+        # is bit-identical; the blocks start at n = 1 only where no head term can stop
+        heads = 0
+        for c in np.geomspace(1e-3, 0.05, 401).tolist():
+            ref, n = _gaussian_series_reference_stop(c)
+            exp_calls.clear()
+            value = _gaussian_series(c)
+            if n <= 64:
+                heads += 1
+                assert value == ref and len(exp_calls) > 1, c
+            else:
+                assert abs(value - ref) <= 16 * EPS * ref, c
+        assert 0 < heads < 401
+
+    def test_no_head_below_mu_1e_3(self, exp_calls):
+        for c in np.geomspace(1e-10, 1e-3, 29).tolist():
+            exp_calls.clear()
+            _gaussian_series(c)
+            assert exp_calls == [-c * 64 * 64], c
+        exp_calls.clear()
+        _gaussian_series(0.01)  # stops at n = 59, within the head
+        assert len(exp_calls) == 59
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-6, 1e-4])
+    def test_tail_bound_against_mpmath(self, c):
+        # stopping at n leaves a tail below term q/(1 - q), q = exp(-2 c n), and the
+        # term is at most SERIES_RTOL of the sum: the value falls short of the
+        # 40-digit S by up to that much, give or take the rounding of n additions
+        _, n = _gaussian_series_reference_stop(c)
+        q = math.exp(-2.0 * c * n)
+        tail = SERIES_RTOL * q / (1.0 - q)
+        rounding = 2.0 * math.sqrt(n) * EPS
+        with mpmath.workdps(40):
+            cm = mpmath.mpf(c)
+            S = (mpmath.sqrt(mpmath.pi / cm) * (1 + 2 * mpmath.exp(-mpmath.pi ** 2 / cm)) - 1) / 2
+            short = float((S - mpmath.mpf(_gaussian_series(c))) / S)
+        assert -rounding <= short <= tail + rounding
+        if c == 1e-10:  # the tail, ~3,900 eps here, not the rounding sets the error
+            assert short > 1000 * EPS
 
 
 class TestMeanEnergy:
