@@ -144,9 +144,11 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
     theta_argument(L, particle, beta)  # the one check of beta and L
     d = 2.0 * math.pi * beta * particle.hbar ** 2
-    r = particle.m_star / d
-    if r < sys.float_info.min:  # split the root where d overflows or m*/d underflows, so that Z stays representable
-        Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / (math.sqrt(beta) * particle.hbar)
+    r = particle.m_star / d if d else 0.0
+    # split the root where d underflows to 0 or overflows, or m*/d underflows, so that Z stays representable;
+    # dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
+    if r < sys.float_info.min:
+        Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / math.sqrt(beta) / particle.hbar
     else:
         Z = L * math.sqrt(r)
     if not math.isfinite(Z):

@@ -42,6 +42,9 @@ def test_workloads_run_and_check_against_the_library():
         # density-large's largest rho, and its density-matrix CSV request
         workloads.Request("rho", {"N": workloads.RHO_N, "beta": workloads.RHO_BETA_RANGE[0]}),
         workloads.cli_request("density-matrix", {"N": workloads.DM_CSV_N, "beta": workloads.DM_BETA_RANGE[0]}),
+        # density-large's density-matrix JSON request, which the bench reads with json.loads
+        workloads.cli_request("density-matrix", {"N": workloads.DM_JSON_N, "beta": workloads.DM_BETA_RANGE[0],
+                                                 "output": "json"}),
         # density-large's normalized density matrix
         workloads.cli_request("density-matrix", {"N": workloads.DM_NORMALIZED_N, "beta": workloads.DM_BETA_RANGE[1],
                                                  "normalized": True}),

@@ -7,13 +7,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticewell import ParticleSpec, partition_continuum_sum
-from latticewell.cli import ConfigError, SweepSpec, _lattice, _particle, main, parse_config
+from latticewell import ParticleSpec, __version__, cli, partition_continuum_sum
+from latticewell.cli import ConfigError, SweepSpec, _lattice, _particle, build_table, emit, main, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -349,20 +354,26 @@ class TestExitStatuses:
         (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
         (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
         (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
+        (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4, "sum of exp(-0 n^2)"),
+        (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
-            "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow"])
+            "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
+            "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
-        # (the constant, 2.45e153, is representable), and Z_closed ~ 1.5e-13 as
-        # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed
+        # (the constant, 2.45e153, is representable), Z_closed ~ 1.5e-13 as
+        # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed, and Z_closed ~ 1.5e160
+        # as 2 pi beta hbar^2 underflowed to 0 and was divided by; there mu underflows too,
+        # so the continuum sum of ones hits the series cap
         assert main(argv) == code
         captured = capsys.readouterr()
         cells = [cell for row in list(csv.reader(io.StringIO(captured.out)))[1:] for cell in row]
         assert (len(cells) > 0) == (code == 0)
         assert all(math.isfinite(float(cell)) for cell in cells)
         if named:
-            assert f"domain error: {named} overflows" in captured.err
+            message = {3: "domain error: {} overflows", 4: "numeric error: {} needs more than"}[code]
+            assert message.format(named) in captured.err
 
 
 class TestOutput:
@@ -534,3 +545,123 @@ class TestOutput:
         stderr = proc.communicate(timeout=60)[1]
         assert proc.returncode == 1
         assert "Traceback" not in stderr and stderr.count("\n") == 1
+
+
+def _emit_whole_json(args, table, stream):
+    """The whole-document JSON emitter that the block emitter replaced: the oracle of its bytes."""
+    columns = [np.asarray(v) for v in table.values()]
+    cells = [np.where(np.isfinite(col), col, None) if col.dtype.kind == "f" else col for col in columns]
+    doc = {
+        "config": vars(args),
+        "columns": list(table),
+        "rows": list(zip(*(col.tolist() for col in cells))),
+        "meta": {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))},
+    }
+    stream.write(json.dumps(doc, default=lambda sweep: sweep.text, allow_nan=False) + "\n")
+
+
+def _emitted(args, table, block_rows):
+    stream = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "EMIT_BLOCK_ROWS", block_rows)
+        emit(args, table, stream)
+    return stream.getvalue()
+
+
+def _expected(args, table):
+    """The table as one block (CSV) or as one json.dumps of the whole document (JSON)."""
+    if args.output == "csv":
+        return _emitted(args, table, 1 << 30)
+    stream = io.StringIO()
+    _emit_whole_json(args, table, stream)
+    return stream.getvalue()
+
+
+class _Sink:
+    """A stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+#: Runs whose config echo or meta the emitter must copy: a --sweep echo, and SI constants.
+EMIT_ARGS = {
+    "sweep": ["partition", "--N", "6", "--natural", "--sweep", "0.5:4:4:linear"],
+    "si": ["partition", "--SI", "--L", "1e-8", "--T", "300", "--k-B", "1.4e-23"],
+}
+#: Cells that %-formatting and json.dumps could write differently.
+AWKWARD_TABLE = {
+    "n": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+    "quantity": ["energy", "partition", "energy", "e\u00e9\"q", "energy", "partition", "energy", "x", "y", "z", "w"],
+    "value": [1.5, math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300, -2.5e-310, 3.0, 7.0],
+    "finite": [0.1 * k for k in range(11)],
+}
+
+
+class TestEmitBlocks:
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("run", sorted(EMIT_ARGS))
+    def test_block_boundaries_keep_the_bytes(self, run, output, block_rows):
+        args = parse_config(EMIT_ARGS[run] + ["--output", output])
+        for table in (build_table(args), AWKWARD_TABLE):
+            assert _emitted(args, table, block_rows) == _expected(args, table)
+
+    @given(data=st.data(), rows=st.integers(0, 25), width=st.integers(1, 3),
+           block_rows=st.sampled_from([1, 2, 3, 7]), output=st.sampled_from(["csv", "json"]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_float_columns_keep_the_bytes(self, data, rows, width, block_rows, output):
+        args = parse_config(EMIT_ARGS["si"] + ["--output", output])
+        table = {"n": list(range(rows))}
+        for k in range(width):
+            table[f"f{k}"] = data.draw(st.lists(st.floats(), min_size=rows, max_size=rows))
+        assert _emitted(args, table, block_rows) == _expected(args, table)
+
+    def test_out_file_holds_the_stdout_bytes_of_a_multi_block_table(self, tmp_path, capsys):
+        argv = ["density-matrix", "--N", "100", "--beta", "1", "--natural", "--output", "json"]  # 10,201 rows
+        target = tmp_path / "rho.json"
+        assert main(argv + ["--out", str(target)]) == 0
+        code, out = run_cli(argv, capsys)
+        assert code == 0 and len(json.loads(out)["rows"]) > 2 * cli.EMIT_BLOCK_ROWS
+        # the config echo holds the one difference, the path; one bool keeps pytest from diffing 0.2 MB
+        same = target.read_text() == out.replace('"out": null', f'"out": {json.dumps(str(target))}', 1)
+        assert same
+
+    @pytest.mark.parametrize("argv", [
+        ["density-matrix", "--N", "256", "--beta", "1", "--natural", "--output", "json"],
+        ["density-matrix", "--N", "400", "--beta", "1", "--natural"],
+    ], ids=["json-N256", "csv-N400"])
+    def test_emit_memory_is_bounded_by_a_block(self, argv):
+        # the whole-table emitters peaked at 10.8 MB (JSON) and 8.3 MB (CSV) here
+        args = parse_config(argv)
+        table = build_table(args)
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            emit(args, table, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 1_000_000
+        assert peak <= 2 << 20
+
+    @pytest.mark.parametrize("output, separator", [("csv", b"\n"), ("json", b"], [")], ids=["csv", "json"])
+    def test_reader_closing_mid_stream_exits_one_without_traceback(self, output, separator):
+        # 160,801 rows: the reader takes the first block and closes the pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latticewell.cli", "density-matrix", "--N", "400", "--natural", "--beta", "1",
+             "--output", output],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+        )
+        seen = b""
+        while seen.count(separator) <= cli.EMIT_BLOCK_ROWS:
+            chunk = os.read(proc.stdout.fileno(), 1 << 16)
+            assert chunk, "the whole table came through before the reader closed"
+            seen += chunk
+        proc.stdout.close()
+        stderr = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert "output error" in stderr and "Traceback" not in stderr

@@ -144,6 +144,16 @@ class TestPartitionContinuum:
             exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * beta * mpmath.mpf(particle.hbar) ** 2))
         assert partition_continuum_closed(L, particle, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
 
+    def test_closed_form_where_hbar_squared_underflows(self):
+        # hbar^2 ~ 1e-340 underflows, so 2 pi beta hbar^2 = 0, but Z_closed ~ 1.5e160 is representable
+        particle, L, beta = ParticleSpec.si(hbar=1e-170), 4.0, 1e-10
+        with mpmath.workdps(40):
+            exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * beta * mpmath.mpf(particle.hbar) ** 2))
+        assert partition_continuum_closed(L, particle, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
+        # sqrt(beta) hbar ~ 1e-450 underflows too: Z ~ 1e434 overflows, and says so
+        with pytest.raises(OverflowError, match="Z_closed overflows"):
+            partition_continuum_closed(L, ParticleSpec.si(hbar=1e-300), 1e-300)
+
     def test_closed_linear_in_width(self):
         beta = 0.37
         z1 = partition_continuum_closed(1.0, NATURAL, beta).Z
