@@ -67,10 +67,12 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
 def _gaussian_series(c: float) -> float:
     """sum_{n>=1} exp(-c n^2), summed in increasing n until a term is negligible.
 
-    The terms are added one at a time in increasing n, and the sum stops
-    after the first term with term <= SERIES_RTOL * (running total).  Both
-    the stopping index and the last bits of the total depend on that order,
-    and so do the golden CSVs: a pairwise or blocked sum would change them.
+    The sum stops after the first term with term <= SERIES_RTOL * (running
+    total).  Where that happens in the libm head, the head's sequential
+    order sets both the stop and the last bits of the total, and so the
+    golden CSVs; beyond it the blocks are summed pairwise, within ~3 eps of
+    the exact sum of their terms (a sequential sum drifts ~sqrt(n) eps,
+    ~1,000 eps at c = 2.5e-11).
 
     Stopping at n leaves out a tail below term * q / (1 - q) with
     q = exp(-2 c n), so the sum falls short by at most SERIES_RTOL * q/(1 - q)
@@ -82,17 +84,18 @@ def _gaussian_series(c: float) -> float:
     golden configs), they are summed with libm's math.exp, so every series
     that stops there is bit-identical to a plain loop.  Below that no head
     term can stop it, and the NumPy blocks start at n = 1.  A block holds
-    np.exp of the same arguments (-c n) n and their sequential cumulative
-    sum seeded with the carried total, which keeps the order.  np.exp
-    differs from libm's exp by 1 ulp on ~5 % of arguments; over a long sum
-    that moves the total by ~1 ulp.  The first block covers the predicted
-    length sqrt(ln(1/(SERIES_RTOL B)) / c), rounded up to a multiple of
-    _SERIES_BLOCK_MIN and at most _SERIES_BLOCK_CAP; later blocks hold
-    _SERIES_BLOCK_CAP terms, which bounds the temporaries at 64 KiB each
-    whatever c is.  The stop rule is tested term by term only in a block
-    whose smallest term can meet it.  The sum takes
-    O(sqrt(ln(1/(SERIES_RTOL S)) / c)) terms at ~6 ns each in the tail, so
-    one that hits SERIES_CAP raises after ~6 ms.
+    np.exp of the same arguments (-c n) n, summed pairwise and added to the
+    carried total.  np.exp differs from libm's exp by 1 ulp on ~5 % of
+    arguments; over a long sum that moves the total by ~1 ulp.  The first
+    block covers the predicted length sqrt(ln(1/(SERIES_RTOL B)) / c),
+    rounded up to a multiple of _SERIES_BLOCK_MIN and at most
+    _SERIES_BLOCK_CAP; later blocks hold _SERIES_BLOCK_CAP terms, which
+    bounds the temporaries at 64 KiB each whatever c is.  The stop rule is
+    tested only in a block whose last term can meet it, from the first term
+    that meets it against the block's end total, walking on term by term.
+    The sum takes O(sqrt(ln(1/(SERIES_RTOL S)) / c)) terms at ~3 ns each
+    (arange, two products, exp and the sum), so one that hits SERIES_CAP
+    raises after ~3 ms.
     """
     start, size, total = 1, _SERIES_BLOCK_MIN, 0.0
     # c * 64^2 >= 40 always leaves the head able to stop; c = 0 and nan take the head
@@ -114,16 +117,20 @@ def _gaussian_series(c: float) -> float:
         terms = n * -c
         terms *= n
         np.exp(terms, out=terms)
-        running = terms.copy()
-        running[0] += total
-        np.add.accumulate(running, out=running)  # the sequential cumsum of (total, terms...)
-        # running sums do not decrease, so no term above SERIES_RTOL * running[-1] stops the sum
-        if terms.min() <= SERIES_RTOL * running[-1]:
-            stop = terms <= SERIES_RTOL * running
-            i = stop.argmax()
-            if stop[i]:
-                return float(running[i])
-        total = float(running[-1])
+        # one pairwise sum per block; every running total in it is at most this bound and
+        # the terms decrease, so no term before the first below SERIES_RTOL * bound stops the sum
+        bound = total + float(terms.sum())
+        if terms[-1] <= SERIES_RTOL * bound:
+            i = int((terms <= SERIES_RTOL * bound).argmax())
+            running = total + float(terms[:i + 1].sum())
+            # bound also counts the terms after i, so term i can miss the stop against its own
+            # running total: walk on to the stop, or on a rounding tie to the block's end
+            while terms[i] > SERIES_RTOL * running and i + 1 < terms.size:
+                i += 1
+                running += float(terms[i])
+            if terms[i] <= SERIES_RTOL * running:
+                return running
+        total = bound
         start += n.size
         size = _SERIES_BLOCK_CAP
     raise SeriesCapExceeded(f"sum of exp(-{c:g} n^2) needs more than {SERIES_CAP} terms")
@@ -195,8 +202,9 @@ def mean_energy(spectrum: Spectrum, beta: float) -> float:
     b = spectrum.boltzmann_beta(beta)
     E = spectrum.energies
     E0 = float(E.min())
-    w = np.exp(-b * (E - E0))
-    return E0 + float(np.sum((E - E0) * w) / np.sum(w))
+    gap = E - E0
+    w = np.exp(-b * gap)
+    return E0 + float((gap * w).sum() / w.sum())
 
 
 def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> float:
@@ -218,7 +226,7 @@ def characteristic_temperature(spectrum: Spectrum) -> float:
     """Theta = |E1 - E2| / (2 k_B), x = Theta / T, with the particle's k_B."""
     if spectrum.lattice.N < 5:
         raise ValueError(f"two-level quantities need N >= 5 (E1 = E2 degeneracy below), got N={spectrum.lattice.N}")
-    E1, E2 = spectrum.energies[:2].tolist()
+    E1, E2 = (spectrum.epsilon0 * spectrum.e_tilde[:2]).tolist()  # the two lowest energies, not all N - 1
     return abs(E1 - E2) / (2.0 * spectrum.particle.k_B)
 
 

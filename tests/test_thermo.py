@@ -52,19 +52,25 @@ def beta_for_mu(mu, L=1.0):
 EPS = np.finfo(float).eps
 
 
-def _gaussian_series_reference_stop(c):
+def _gaussian_series_reference_stop(c, rtol=SERIES_RTOL):
     """The per-term loop: libm exp, sequential sum, same stop rule and cap; (sum, last n)."""
     total = 0.0
     for n in range(1, SERIES_CAP + 1):
         term = math.exp(-c * n * n)
         total += term
-        if term <= SERIES_RTOL * total:
+        if term <= rtol * total:
             return total, n
     raise SeriesCapExceeded(c)
 
 
 def _gaussian_series_reference(c):
     return _gaussian_series_reference_stop(c)[0]
+
+
+def _gaussian_series_exact(c, rtol=SERIES_RTOL):
+    """The reference loop's libm terms up to its stop, summed exactly and rounded once (math.fsum)."""
+    _, n = _gaussian_series_reference_stop(c, rtol)
+    return math.fsum(math.exp(-c * k * k) for k in range(1, n + 1))
 
 
 class TestPartitionDiscrete:
@@ -277,7 +283,7 @@ class TestTheta:
 
 
 class TestGaussianSeries:
-    """The blocked kernel against the per-term loop it replaced."""
+    """The blocked kernel against the per-term loop it replaced and the exact sum of its terms."""
 
     def test_head_series_equal_reference(self):
         # series that stop within the libm head are bit-identical, which keeps
@@ -286,17 +292,19 @@ class TestGaussianSeries:
         for c in [*np.geomspace(0.01, 50.0, 40).tolist(), *golden]:
             assert _gaussian_series(c) == _gaussian_series_reference(c)
 
-    def test_long_series_within_16_eps(self):
-        # np.exp is within 1 ulp of libm's exp, and the sum order is the same
+    def test_long_series_within_4_eps_of_exact_sum(self):
+        # np.exp is within 1 ulp of libm's exp and each block is summed pairwise, so
+        # the value is the exact sum of the reference's terms up to a few eps; the
+        # sequential loop itself drifts from it by up to ~1,000 eps
         for c in np.geomspace(1e-10, 10.0, 41).tolist():
-            ref = _gaussian_series_reference(c)
-            assert abs(_gaussian_series(c) - ref) <= 16 * EPS * ref
+            exact = _gaussian_series_exact(c)
+            assert abs(_gaussian_series(c) - exact) <= 4 * EPS * exact, c
 
     def test_cap_decision_matches_reference(self):
         # the 1e6-term cap falls at c ~ 2.47511e-11
         inside, outside = 2.4752e-11, 2.4750e-11
-        ref = _gaussian_series_reference(inside)
-        assert abs(_gaussian_series(inside) - ref) <= 16 * EPS * ref
+        exact = _gaussian_series_exact(inside)
+        assert abs(_gaussian_series(inside) - exact) <= 4 * EPS * exact
         for fn in (_gaussian_series, _gaussian_series_reference):
             with pytest.raises(SeriesCapExceeded):
                 fn(outside)
@@ -341,15 +349,32 @@ class TestGaussianSeries:
         _gaussian_series(0.01)  # stops at n = 59, within the head
         assert len(exp_calls) == 59
 
-    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rtol", [SERIES_RTOL, 1e-2])
+    def test_block_boundaries_keep_the_stop(self, monkeypatch, block, rtol):
+        # blocks of 1-7 terms put stops on a block's first and last term.  At rtol
+        # 1e-2 the pairwise bound of the stop test overshoots, the forward walk to
+        # the stop runs 1-6 terms, and a stop one term off would miss by ~1e-2.
+        # The block sums are added one after another, so they drift ~sqrt(n/block) eps.
+        monkeypatch.setattr(thermo, "_SERIES_BLOCK_MIN", block)
+        monkeypatch.setattr(thermo, "_SERIES_BLOCK_CAP", block)
+        monkeypatch.setattr(thermo, "SERIES_RTOL", rtol)
+        for c in [*np.geomspace(1e-6, 1e-2, 13).tolist(), 0.009, 0.02]:
+            exact = _gaussian_series_exact(c, rtol)
+            n = _gaussian_series_reference_stop(c, rtol)[1]
+            bound = 4 + 2 * math.sqrt(n / block)
+            assert abs(_gaussian_series(c) - exact) <= bound * EPS * exact, c
+
+    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
     def test_tail_bound_against_mpmath(self, c):
         # stopping at n leaves a tail below term q/(1 - q), q = exp(-2 c n), and the
         # term is at most SERIES_RTOL of the sum: the value falls short of the
-        # 40-digit S by up to that much, give or take the rounding of n additions
+        # 40-digit S by up to that much, give or take a few eps of rounding (the
+        # blocks are summed pairwise; a sequential sum of n terms drifts ~sqrt(n) eps)
         _, n = _gaussian_series_reference_stop(c)
         q = math.exp(-2.0 * c * n)
         tail = SERIES_RTOL * q / (1.0 - q)
-        rounding = 2.0 * math.sqrt(n) * EPS
+        rounding = 2.0 * EPS
         with mpmath.workdps(40):
             cm = mpmath.mpf(c)
             S = (mpmath.sqrt(mpmath.pi / cm) * (1 + 2 * mpmath.exp(-mpmath.pi ** 2 / cm)) - 1) / 2
