@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .calculus import definite_integral
 from .lattice import LatticeFunction, LatticeSpec
 from .spectrum import ParticleSpec, Spectrum, build_hamiltonian_matrix, sine_mode_matrix
+from .thermo import partition_continuum_closed
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +142,12 @@ def propagate_bloch(lattice: LatticeSpec, particle: ParticleSpec, beta_target: f
 
 
 def density_matrix_continuum(x: float, x_prime: float, beta: float, particle: ParticleSpec) -> float:
-    """Free-particle Gaussian kernel sqrt(m*/2 pi beta hbar^2) e^{-m*(x-x')^2/(2 beta hbar^2)}."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    g = particle.m_star / (2.0 * beta * particle.hbar ** 2)
-    d = x - x_prime
-    return math.sqrt(g / math.pi) * math.exp(-g * d * d)
+    """Free-particle Gaussian kernel sqrt(m*/2 pi beta hbar^2) e^{-m*(x-x')^2/(2 beta hbar^2)}.
 
+    That is Z1 e^{-pi (Z1 (x - x'))^2} with Z1 = Z_closed of a unit width, so the kernel
+    shares the closed form's check of beta and its over- and underflow splits; where
+    (Z1 (x - x'))^2 overflows, e^{-inf} = 0 is the kernel's value.
+    """
+    Z = partition_continuum_closed(1.0, particle, beta).Z
+    u = Z * (x - x_prime)
+    return Z * math.exp(-math.pi * u * u)

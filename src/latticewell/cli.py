@@ -25,10 +25,11 @@ choices, flags override the file, and a flag silences the file's member of
 its exclusive pair (a/L, beta/T, natural/SI).
 
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
-2 configuration error, including a config file that cannot be read and an
---out path that cannot be written; 3 domain error, including a quantity that
-overflows (beta or T from the other, energy scale, width, Z_closed, Z_theta,
-H_mean_continuum, x); 4 numeric error (series cap hit).
+2 configuration error, including a config file that cannot be read, an --out
+path that cannot be written and a sweep whose values overflow; 3 domain error,
+including a quantity that overflows (beta or T from the other, energy scale,
+width, Z_closed, Z_theta, F, H_mean_continuum, x); 4 numeric error (series cap
+hit).
 """
 
 import argparse
@@ -101,17 +102,14 @@ def finite(text: str) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter sweep start:stop:points:scale (scale linear or log), and that text."""
+    """A parameter sweep start:stop:points:scale (scale linear or log), as its values and that text."""
 
-    start: float
-    stop: float
-    points: int
-    scale: str
+    values: list[float]
     text: str
 
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
-        """The argparse type of --sweep."""
+        """The argparse type of --sweep; a sweep whose values overflow is a config error."""
         parts = text.split(":")
         if len(parts) != 4:
             raise ConfigError(f"sweep must be start:stop:points:scale, got {text!r}")
@@ -126,14 +124,19 @@ class SweepSpec:
             raise ConfigError(f"sweep needs at least 2 points, got {points}")
         if not start > 0 or not stop > start:
             raise ConfigError(f"sweep needs 0 < start < stop, got {text!r}")
-        return cls(start, stop, points, scale, text)
-
-    def values(self) -> list[float]:
-        k = self.points - 1
-        if self.scale == "linear":
-            return [self.start + (self.stop - self.start) * i / k for i in range(self.points)]
-        lg0, lg1 = math.log10(self.start), math.log10(self.stop)
-        return [10.0 ** (lg0 + (lg1 - lg0) * i / k) for i in range(self.points)]
+        k = points - 1
+        try:
+            if scale == "linear":
+                values = [start + (stop - start) * i / k for i in range(points)]
+            else:
+                lg0, lg1 = math.log10(start), math.log10(stop)
+                values = [10.0 ** (lg0 + (lg1 - lg0) * i / k) for i in range(points)]
+            overflows = not all(map(math.isfinite, values))
+        except OverflowError:  # 10.0 ** x raises where a product would give inf
+            overflows = True
+        if overflows:
+            raise ConfigError(f"sweep {text!r} has values that overflow")
+        return cls(values, text)
 
 
 @functools.cache
@@ -258,7 +261,7 @@ def parse_config(argv=None) -> argparse.Namespace:
             raise ConfigError("converge holds the width fixed: give --L, not --a")
         if sweep is None:
             raise ConfigError("converge needs --sweep over N")
-        N0 = round(sweep.values()[0])  # the smallest N that _cmd_converge builds
+        N0 = round(sweep.values[0])  # the smallest N that _cmd_converge builds
         if N0 < 2:
             raise ConfigError(f"converge needs N >= 2, but sweep {sweep.text} starts at N = {N0}")
         if args.quantity == "partition" and not thermal_given:
@@ -299,7 +302,8 @@ def _lattice(args: argparse.Namespace) -> LatticeSpec:
 
 def _reciprocal_kT(x: float, particle: ParticleSpec) -> float:
     """1/(k_B x), which is beta for x = T and T for x = beta; an inf or 0 result is a domain error."""
-    y = 1.0 / (particle.k_B * x)
+    kx = particle.k_B * x
+    y = 1.0 / kx if kx else math.inf  # a k_B x that underflows to 0 gives inf, which names itself below
     if not (math.isfinite(y) and y > 0):
         raise OverflowError(f"1/(k_B * {x!r}) = {y!r} is out of range")
     return y
@@ -310,7 +314,7 @@ def _beta_value(args: argparse.Namespace, particle: ParticleSpec) -> float:
 
 
 def _beta_grid(args: argparse.Namespace, particle: ParticleSpec) -> list[float]:
-    return args.sweep.values() if args.sweep is not None else [_beta_value(args, particle)]
+    return args.sweep.values if args.sweep is not None else [_beta_value(args, particle)]
 
 
 def _cmd_spectrum(args: argparse.Namespace):
@@ -388,7 +392,7 @@ def _cmd_heat_capacity(args: argparse.Namespace):
     spec = build_spectrum(_lattice(args), particle)
     theta = characteristic_temperature(spec)
     if args.sweep is not None:
-        temps = args.sweep.values()
+        temps = args.sweep.values
     else:
         temps = [args.T if args.T is not None else _reciprocal_kT(args.beta, particle)]
     x = [theta / T for T in temps]
@@ -404,7 +408,7 @@ def _cmd_heat_capacity(args: argparse.Namespace):
 def _cmd_converge(args: argparse.Namespace):
     particle = _particle(args)
     L = args.L
-    Ns = [int(round(v)) for v in args.sweep.values()]
+    Ns = [int(round(v)) for v in args.sweep.values]
     if args.quantity == "energy":
         value = [energy_discrete(args.n_E, LatticeSpec(N, L / N), particle) for N in Ns]
         error = [continuum_limit_error(args.n_E, N) for N in Ns]

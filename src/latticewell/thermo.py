@@ -43,10 +43,13 @@ class PartitionResult:
 
     @property
     def free_energy(self) -> float:
-        """F = -ln Z / beta; an underflowed Z = 0 has no logarithm and raises ValueError."""
+        """F = -ln Z / beta; a Z = 0 has no logarithm (ValueError), and an F that overflows raises OverflowError."""
         if self.beta <= 0:
             raise ValueError(f"free energy needs beta > 0, got {self.beta!r}")
-        return -math.log(self.Z) / self.beta
+        F = -math.log(self.Z) / self.beta
+        if not math.isfinite(F):
+            raise OverflowError(f"F = -ln Z/beta overflows at Z={self.Z!r}, beta={self.beta!r}")
+        return F
 
 
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
@@ -152,9 +155,9 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
     theta_argument(L, particle, beta)  # the one check of beta and L
     d = 2.0 * math.pi * beta * particle.hbar ** 2
     r = particle.m_star / d if d else 0.0
-    # split the root where d underflows to 0 or overflows, or m*/d underflows, so that Z stays representable;
-    # dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
-    if r < sys.float_info.min:
+    # split the root where d underflows to 0 or overflows, or m*/d under- or overflows, so that Z stays representable
+    # (a normal r keeps L sqrt(r)); dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
+    if not sys.float_info.min <= r < math.inf:
         Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / math.sqrt(beta) / particle.hbar
     else:
         Z = L * math.sqrt(r)
@@ -216,7 +219,8 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
     h = 1e-4 * beta
     zp = partition_continuum_closed(L, particle, beta + h).Z
     zm = partition_continuum_closed(L, particle, beta - h).Z
-    H = -(math.log(zp) - math.log(zm)) / (2.0 * h)
+    # h underflows to 0 below beta ~ 5e-320, where 1/(2 beta) overflows anyway
+    H = -(math.log(zp) - math.log(zm)) / (2.0 * h) if h else math.inf
     if not math.isfinite(H):
         raise OverflowError(f"H_mean_continuum overflows at L={L!r}, beta={beta!r}")
     return H

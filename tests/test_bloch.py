@@ -1,7 +1,9 @@
 """Density matrices: spectral sum vs imaginary-time propagation, continuum kernel."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,10 @@ from latticewell import (
     build_spectrum,
     trace_integral,
 )
-from latticewell import calculus
+from latticewell import bloch, calculus, spectrum
 
 NATURAL = ParticleSpec.natural()
+EPS = sys.float_info.epsilon
 
 
 def spectrum_for(N, a=1.0):
@@ -280,6 +283,29 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate_bloch(LatticeSpec(5), NATURAL, 1.0, steps=0)
 
+    @pytest.mark.parametrize("N", [2, 9, 64])
+    def test_reads_no_spectral_kernel(self, N, monkeypatch):
+        # the Bloch route checks the spectral routes only while it reads the stencil alone:
+        # no spectrum, no sine table and no FFT
+        def spectral(*args, **kwargs):
+            raise AssertionError("propagate_bloch reached a spectral kernel")
+
+        for name in ("build_spectrum", "sin_pi_ratio", "dimensionless_energy", "sine_mode_matrix"):
+            for module in (spectrum, bloch):
+                monkeypatch.setattr(module, name, spectral, raising=False)
+        monkeypatch.setattr(np.fft, "rfft", spectral)
+        lat = LatticeSpec(N, 0.5)
+        rho = propagate_bloch(lat, NATURAL, 2.0 / NATURAL.energy_scale(lat.a)).rho
+        assert rho.shape == (N + 1, N + 1) and np.all(np.isfinite(rho))
+
+    @pytest.mark.parametrize("be", [1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("N", [2, 3, 9, 10, 64, 65, 128, 255])
+    def test_exact_structure(self, N, be):
+        # the two-step stencil never couples the sublattices, so every product of the
+        # powering keeps exact zeros on odd n + n', and the symmetrization is exact
+        lat = LatticeSpec(N, 0.5)
+        _assert_exact_structure(propagate_bloch(lat, NATURAL, be / NATURAL.energy_scale(lat.a)).rho)
+
 
 class TestBlochResidual:
     def test_spectral_matrix_satisfies_bloch_equation(self):
@@ -318,6 +344,17 @@ class TestContinuumKernel:
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             density_matrix_continuum(0.0, 0.0, 0.0, NATURAL)
+        with pytest.raises(ValueError):
+            density_matrix_continuum(0.0, 0.0, math.nan, NATURAL)
+
+    def test_where_the_root_overflows(self):
+        # m*/(2 pi beta hbar^2) overflows at beta = 1e-320, but the peak ~ 4e159 is
+        # representable, and off the diagonal (Z1 (x - x'))^2 overflows to a 0 tail
+        beta = 1e-320
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(1 / (2 * mpmath.pi * mpmath.mpf(beta)))
+        assert density_matrix_continuum(0.0, 0.0, beta, NATURAL) == pytest.approx(float(exact), rel=4 * EPS, abs=0)
+        assert density_matrix_continuum(0.0, 1.0, beta, NATURAL) == 0.0
 
     def test_diagonal_integral_is_partition(self):
         # trapezoid quadrature of the diagonal over [0, L] equals Z_closed

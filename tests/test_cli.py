@@ -61,11 +61,11 @@ def run_cli(argv, capsys):
 class TestSweepSpec:
     def test_linear_values(self):
         s = SweepSpec.parse("1:4:4:linear")
-        assert s.values() == [1.0, 2.0, 3.0, 4.0]
+        assert s.values == [1.0, 2.0, 3.0, 4.0]
 
     def test_log_values(self):
         s = SweepSpec.parse("1:100:3:log")
-        assert s.values() == pytest.approx([1.0, 10.0, 100.0])
+        assert s.values == pytest.approx([1.0, 10.0, 100.0])
 
     def test_rejects_malformed(self):
         for bad in ("1:2:3", "1:2:one:log", "1:2:3:cubic", "0:2:3:log", "2:1:3:linear", "1:9:1:log"):
@@ -189,6 +189,25 @@ class TestParseConfig:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["partition", "--N", "6", "--natural", "--beta", "-1"], "beta must be >= 0"),
+        (["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log", "--quantity", "partition"],
+         "quantity=partition needs --beta or --T"),
+        (["spectrum", "--natural"], "--N is required"),
+        (["partition", "--natural", "--beta", "1"], "without --N the continuum needs --L"),
+        (["partition", "--N", "6", "--natural", "--beta", "1", "--sweep", "1:2:3:log"], "not both"),
+        (["density-matrix", "--N", "5", "--natural"], "give --beta or --T"),
+        (["wavefunction", "--N", "5", "--n-E", "0", "--natural"], "n-E must be >= 1"),
+        (["spectrum", "--N", "5", "--config", "{missing}"], "cannot read config file"),
+        (["spectrum", "--N", "5", "--config", "{conf}"], "expected 'key = value'"),
+    ], ids=["negative-beta", "partition-without-beta", "N-required", "continuum-without-L", "beta-and-sweep",
+            "density-without-beta", "n-E-zero", "missing-config-file", "config-line-without-equals"])
+    def test_config_errors_name_their_cause(self, argv, message, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("N 6\n")
+        assert main([arg.format(conf=conf, missing=tmp_path / "missing.conf") for arg in argv]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestExitStatuses:
     def test_domain_error_small_n_heat_capacity(self, capsys):
@@ -237,47 +256,63 @@ class TestExitStatuses:
         ["partition", "--N", "6", "--natural", "--L", "inf", "--beta", "1"],
         ["partition", "--N", "6", "--natural", "--sweep", "1:inf:3:log"],
         ["partition", "--N", "6", "--natural", "--config", "{conf}"],
-    ], ids=["beta-nan", "beta-inf", "T-inf", "a-inf", "L-inf", "sweep-stop-inf", "config-beta-nan"])
+        ["heat-capacity", "--N", "5", "--L", "3e200", "--natural", "--sweep", "1e307:1e+308:3:linear"],
+        ["mean-energy", "--N", "4", "--a", "5e100", "--natural", "--sweep", "1.7e307:1.7e+308:3:linear"],
+        ["partition", "--N", "9", "--L", "1e-5", "--SI", "--sweep", "1.7e307:1.7e+308:3:linear"],
+        ["converge", "--L", "1.7e308", "--natural", "--sweep", "1.7e307:1.7e+308:3:linear"],
+        ["partition", "--N", "6", "--natural", "--sweep", "1e300:1.7976931348623157e308:3:log"],
+    ], ids=["beta-nan", "beta-inf", "T-inf", "a-inf", "L-inf", "sweep-stop-inf", "config-beta-nan",
+            "sweep-T-overflows", "sweep-beta-overflows", "sweep-partition-overflows", "sweep-N-overflows",
+            "sweep-power-overflows"])
     def test_non_finite_numbers_are_config_errors(self, argv, tmp_path, capsys):
+        # a sweep's values overflow where (stop - start) i does before the division by
+        # points - 1, or where 10.0 ** x raises; the message names the sweep
         conf = tmp_path / "run.conf"
         conf.write_text("beta = nan\n")
         assert main([arg.format(conf=conf) for arg in argv]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if "--sweep" in argv:
+            assert repr(argv[argv.index("--sweep") + 1]) in err
 
     @pytest.mark.parametrize("argv, quantity", [
         (["spectrum", "--N", "5", "--a", "1e-170"], "energy scale"),
         (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], "theta argument"),
         (["mean-energy", "--N", "6", "--beta", "1e-320"], None),
         (["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"], "energy scale"),
-        (["partition", "--N", "6", "--natural", "--T", "1e-320"], None),
-        (["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"], None),
-        (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], None),
+        (["partition", "--N", "6", "--natural", "--T", "1e-320"], "1/(k_B *"),
+        (["heat-capacity", "--N", "6", "--natural", "--beta", "1e-320"], "1/(k_B *"),
+        (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], "1/(k_B *"),
         (["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"], "energy scale"),
         (["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"], "energy scale"),
         (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], "energy scale"),
         (["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"], None),
         (["wavefunction", "--N", "2", "--a", "1.7e308"], None),
         (["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"], None),
-        (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], None),
+        (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], "1/(k_B *"),
         (["density-matrix", "--N", "5", "--a", "1e-170", "--beta", "1"], "energy scale"),
         (["heat-capacity", "--N", "6", "--a", "1e-170", "--T", "1"], "energy scale"),
         (["partition", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
         (["mean-energy", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
+        (["partition", "--N", "8", "--a", "1.7e-50", "--SI", "--T", "1e-320"], "1/(k_B *"),
+        (["heat-capacity", "--N", "9", "--SI", "--beta", "3e-320"], "1/(k_B *"),
     ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
             "beta-from-T", "T-from-beta", "density-beta-from-T",
             "energy-scale-hbar", "energy-scale-a", "density-energy-scale", "Z-closed",
             "width", "x-column", "T-underflow", "density-a-squared", "heat-capacity-a-squared",
-            "theta-argument-continuum", "theta-argument-mean-energy"])
+            "theta-argument-continuum", "theta-argument-mean-energy", "k-B-T-underflow", "k-B-beta-underflow"])
     def test_arithmetic_underflow_is_domain_error(self, argv, quantity, capsys):
         # a^2, L^2 or the finite-difference step underflows to 0 and is divided
         # by, 1/(k_B x) turning T into beta or beta into T leaves (0, inf), or
         # the energy scale, N*a, Z_closed or x = Theta/T overflows; the energy
-        # scale names itself, whether a^2 underflows or hbar^2 overflows, and
-        # the theta argument names itself when 2 m* L^2 underflows
+        # scale names itself, whether a^2 underflows or hbar^2 overflows, the
+        # theta argument names itself when 2 m* L^2 underflows, and 1/(k_B x)
+        # names itself, also where k_B x underflows to 0
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
-        assert [q for q in ("energy scale", "theta argument") if q in err] == ([quantity] if quantity else [])
+        named = [q for q in ("energy scale", "theta argument", "1/(k_B *") if q in err]
+        assert named == ([quantity] if quantity else [])
 
     def test_underflowed_partition_prints_zero(self, capsys):
         # Z underflows at beta = 1e5; F comes from the closed form, which does not
@@ -356,16 +391,21 @@ class TestExitStatuses:
         (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
         (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4, "sum of exp(-0 n^2)"),
         (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
+        (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta"),
+        (["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
+          "--sweep", "1.7e-320:3.40016e-320:3:linear"], 3, "H_mean_continuum"),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
-            "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow"])
+            "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
+            "free-energy-overflow", "mean-energy-step-underflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
         # (the constant, 2.45e153, is representable), Z_closed ~ 1.5e-13 as
         # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed, and Z_closed ~ 1.5e160
         # as 2 pi beta hbar^2 underflowed to 0 and was divided by; there mu underflows too,
-        # so the continuum sum of ones hits the series cap
+        # so the continuum sum of ones hits the series cap; F = -ln Z/beta overflows at
+        # beta ~ 1e-308, and the step h = 1e-4 beta of H_mean_continuum underflows to 0
         assert main(argv) == code
         captured = capsys.readouterr()
         cells = [cell for row in list(csv.reader(io.StringIO(captured.out)))[1:] for cell in row]

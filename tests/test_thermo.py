@@ -160,6 +160,13 @@ class TestPartitionContinuum:
         with pytest.raises(OverflowError, match="Z_closed overflows"):
             partition_continuum_closed(L, ParticleSpec.si(hbar=1e-300), 1e-300)
 
+    def test_closed_form_where_the_ratio_overflows(self):
+        # m*/(2 pi beta hbar^2) ~ 1.6e309 overflows, but Z_closed ~ 4e154 is representable
+        beta = 1e-310
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(1 / (2 * mpmath.pi * mpmath.mpf(beta)))
+        assert partition_continuum_closed(1.0, NATURAL, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
+
     def test_closed_linear_in_width(self):
         beta = 0.37
         z1 = partition_continuum_closed(1.0, NATURAL, beta).Z
