@@ -264,6 +264,9 @@ def parse_config(argv=None) -> argparse.Namespace:
         N0 = round(sweep.values[0])  # the smallest N that _cmd_converge builds
         if N0 < 2:
             raise ConfigError(f"converge needs N >= 2, but sweep {sweep.text} starts at N = {N0}")
+        N1 = round(sweep.values[-1])  # the largest; sin_pi_ratio folds modes mod 2N in int64
+        if N1 >= 2 ** 62:
+            raise ConfigError(f"converge needs N < 2**62, but sweep {sweep.text} reaches N = {N1}")
         if args.quantity == "partition" and not thermal_given:
             raise ConfigError("quantity=partition needs --beta or --T")
     elif N is None:

@@ -24,9 +24,8 @@ SERIES_RTOL = 1e-16
 #: Hard cap on series length; hitting it raises SeriesCapExceeded.
 SERIES_CAP = 10 ** 6
 # Terms summed one by one with math.exp before the NumPy blocks start, and
-# the smallest and largest block (8192 float64 terms = 64 KiB per temporary).
+# the block length (8192 float64 terms = 64 KiB per temporary).
 _SERIES_HEAD = 64
-_SERIES_BLOCK_MIN = 256
 _SERIES_BLOCK_CAP = 8192
 
 
@@ -68,75 +67,56 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
 
 
 def _gaussian_series(c: float) -> float:
-    """sum_{n>=1} exp(-c n^2), summed in increasing n until a term is negligible.
+    """sum_{n>=1} exp(-c n^2) = (theta3(c) - 1)/2, summed in increasing n up to a negligible term.
 
-    The sum stops after the first term with term <= SERIES_RTOL * (running
-    total).  Where that happens in the libm head, the head's sequential
-    order sets both the stop and the last bits of the total, and so the
-    golden CSVs; beyond it the blocks are summed pairwise, within ~3 eps of
-    the exact sum of their terms (a sequential sum drifts ~sqrt(n) eps,
-    ~1,000 eps at c = 2.5e-11).
+    Where one of the first _SERIES_HEAD terms can stop the sum
+    (exp(-64^2 c) <= SERIES_RTOL * (1/2) sqrt(pi/c), c >= ~0.008, all the
+    golden configs), they are summed one by one with libm's math.exp, and the
+    head stops after the first term with term <= SERIES_RTOL * (running
+    total).  Every series that stops there is bit-identical to a plain loop,
+    whose sequential order sets the last bits of the golden CSVs.
+
+    Past the head the sum stops at n* = ceil(sqrt(x/c)), x = -ln(SERIES_RTOL S),
+    the first n with exp(-c n^2) <= SERIES_RTOL * S.  There (c < 40/64^2) Jacobi's
+    identity theta3(c) = sqrt(pi/c) theta3(pi^2/c) makes S = (sqrt(pi/c) - 1)/2
+    exact to double precision: it leaves out terms below exp(-pi^2/c) < exp(-1000).
+    The running total at the stop is S less a tail below ~2e-12 S, and successive
+    c n^2 differ by c (2n + 1) >= 5e-5, so the two stop rules pick different n
+    only on a near-tie, where the sums differ by one term of at most half an ulp.
+    The terms 1 ... n* (65 ... n* after a head that did not stop) are np.exp of
+    the same arguments (-c n) n in blocks of _SERIES_BLOCK_CAP terms (64 KiB per
+    temporary), each summed pairwise and added to the carried total, within ~3 eps
+    of the exact sum of the terms (a sequential sum drifts ~sqrt(n) eps, ~1,000 eps
+    at c = 2.5e-11).  np.exp differs from libm's exp by 1 ulp on ~5 % of
+    arguments; over a long sum that moves the total by ~1 ulp.  A sum with
+    n* > SERIES_CAP (c < ~2.475e-11), or with no n* (c not > 0, or
+    SERIES_RTOL * S >= 1 at c <~ 1e-32), raises SeriesCapExceeded before any term.
 
     Stopping at n leaves out a tail below term * q / (1 - q) with
     q = exp(-2 c n), so the sum falls short by at most SERIES_RTOL * q/(1 - q)
     of itself, ~SERIES_RTOL / (2 c n) for small c n: machine precision for
     c >= ~0.01, but 8.7e-13 (~3,900 eps) at c = 1e-10.
-
-    The sum S is below B = (1/2) sqrt(pi/c).  Where the first _SERIES_HEAD
-    terms can stop it (exp(-64^2 c) <= SERIES_RTOL * B, c >= ~0.008, all the
-    golden configs), they are summed with libm's math.exp, so every series
-    that stops there is bit-identical to a plain loop.  Below that no head
-    term can stop it, and the NumPy blocks start at n = 1.  A block holds
-    np.exp of the same arguments (-c n) n, summed pairwise and added to the
-    carried total.  np.exp differs from libm's exp by 1 ulp on ~5 % of
-    arguments; over a long sum that moves the total by ~1 ulp.  The first
-    block covers the predicted length sqrt(ln(1/(SERIES_RTOL B)) / c),
-    rounded up to a multiple of _SERIES_BLOCK_MIN and at most
-    _SERIES_BLOCK_CAP; later blocks hold _SERIES_BLOCK_CAP terms, which
-    bounds the temporaries at 64 KiB each whatever c is.  The stop rule is
-    tested only in a block whose last term can meet it, from the first term
-    that meets it against the block's end total, walking on term by term.
-    The sum takes O(sqrt(ln(1/(SERIES_RTOL S)) / c)) terms at ~3 ns each
-    (arange, two products, exp and the sum), so one that hits SERIES_CAP
-    raises after ~3 ms.
     """
-    start, size, total = 1, _SERIES_BLOCK_MIN, 0.0
+    start, total = 1, 0.0
     # c * 64^2 >= 40 always leaves the head able to stop; c = 0 and nan take the head
-    if 0.0 < c < 40.0 / _SERIES_HEAD ** 2 and (
-            tol := SERIES_RTOL * 0.5 * math.sqrt(math.pi / c)) < math.exp(-c * _SERIES_HEAD ** 2):
-        # S is a little below B, so the sum stops at most ~1 term past this length; sizes
-        # rounded to _SERIES_BLOCK_MIN keep the heap from growing on many distinct ones
-        length = math.sqrt(math.log(1.0 / tol) / c) + 2.0
-        size = min(_SERIES_BLOCK_MIN * math.ceil(length / _SERIES_BLOCK_MIN), _SERIES_BLOCK_CAP)
-    else:
+    if not (0.0 < c < 40.0 / _SERIES_HEAD ** 2
+            and SERIES_RTOL * 0.5 * math.sqrt(math.pi / c) < math.exp(-c * _SERIES_HEAD ** 2)):
         for n in range(1, _SERIES_HEAD + 1):
             term = math.exp(-c * n * n)
             total += term
             if term <= SERIES_RTOL * total:
                 return total
         start = _SERIES_HEAD + 1
-    while start <= SERIES_CAP:
-        n = np.arange(start, min(start + size, SERIES_CAP + 1), dtype=float)
+    x = -math.log(SERIES_RTOL * 0.5 * (math.sqrt(math.pi / c) - 1.0)) if c > 0.0 else 0.0
+    if not x > 0.0 or (stop := math.ceil(math.sqrt(x / c))) > SERIES_CAP:
+        raise SeriesCapExceeded(f"sum of exp(-{c:g} n^2) needs more than {SERIES_CAP} terms")
+    for first in range(start, stop + 1, _SERIES_BLOCK_CAP):
+        n = np.arange(first, min(first + _SERIES_BLOCK_CAP, stop + 1), dtype=float)
         terms = n * -c
         terms *= n
         np.exp(terms, out=terms)
-        # one pairwise sum per block; every running total in it is at most this bound and
-        # the terms decrease, so no term before the first below SERIES_RTOL * bound stops the sum
-        bound = total + float(terms.sum())
-        if terms[-1] <= SERIES_RTOL * bound:
-            i = int((terms <= SERIES_RTOL * bound).argmax())
-            running = total + float(terms[:i + 1].sum())
-            # bound also counts the terms after i, so term i can miss the stop against its own
-            # running total: walk on to the stop, or on a rounding tie to the block's end
-            while terms[i] > SERIES_RTOL * running and i + 1 < terms.size:
-                i += 1
-                running += float(terms[i])
-            if terms[i] <= SERIES_RTOL * running:
-                return running
-        total = bound
-        start += n.size
-        size = _SERIES_BLOCK_CAP
-    raise SeriesCapExceeded(f"sum of exp(-{c:g} n^2) needs more than {SERIES_CAP} terms")
+        total += float(terms.sum())
+    return total
 
 
 def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:
@@ -204,7 +184,7 @@ def mean_energy(spectrum: Spectrum, beta: float) -> float:
     """
     b = spectrum.boltzmann_beta(beta)
     E = spectrum.energies
-    E0 = float(E.min())
+    E0 = float(E[0])  # n_E = 1, the lowest mode bit for bit (tied with its mirror n_E = N - 1)
     gap = E - E0
     w = np.exp(-b * gap)
     return E0 + float((gap * w).sum() / w.sum())

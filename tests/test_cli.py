@@ -239,11 +239,20 @@ class TestExitStatuses:
         ["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log", "--quantity", "partition", "--beta", "0"],
         ["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log", "--beta", "0"],
         ["converge", "--L", "1", "--N", "5", "--sweep", "50:400:3:log"],
-    ], ids=["sweep-rounds-to-0", "sweep-rounds-to-1", "partition-beta-0", "energy-beta-0", "N-given"])
+        ["converge", "--L", "17", "--natural", "--sweep", "2.5e100:5e+100:3:linear"],
+        ["converge", "--L", "17", "--natural", "--sweep", "5e18:6e18:2:linear"],
+        ["converge", "--L", "17", "--natural", "--sweep", "4.6e18:4.611686018427387904e18:2:linear"],
+    ], ids=["sweep-rounds-to-0", "sweep-rounds-to-1", "partition-beta-0", "energy-beta-0", "N-given",
+            "N-past-int64", "2N-past-int64", "N-is-2**62"])
     def test_converge_input_errors_are_config_errors(self, argv, capsys):
-        # converge sweeps N itself, so it has no --N and each rounded N must be >= 2
+        # converge sweeps N itself, so it has no --N and each rounded N must be >= 2; modes
+        # are folded mod 2N in int64, so N must be below 2**62 (4e18:4.5e18 runs)
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_converge_runs_just_below_the_int64_bound(self, capsys):
+        assert main(["converge", "--L", "17", "--natural", "--sweep", "4e18:4.5e18:2:linear"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("4500000000000000000,energy,")
 
     def test_success_is_zero(self, capsys):
         assert main(["spectrum", "--N", "4", "--natural"]) == 0

@@ -357,20 +357,46 @@ class TestGaussianSeries:
         assert len(exp_calls) == 59
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    @pytest.mark.parametrize("rtol", [SERIES_RTOL, 1e-2])
-    def test_block_boundaries_keep_the_stop(self, monkeypatch, block, rtol):
-        # blocks of 1-7 terms put stops on a block's first and last term.  At rtol
-        # 1e-2 the pairwise bound of the stop test overshoots, the forward walk to
-        # the stop runs 1-6 terms, and a stop one term off would miss by ~1e-2.
-        # The block sums are added one after another, so they drift ~sqrt(n/block) eps.
-        monkeypatch.setattr(thermo, "_SERIES_BLOCK_MIN", block)
+    def test_block_boundaries_keep_the_stop(self, monkeypatch, block):
+        # blocks of 1-7 terms put the stop n* on a block's first and last term, and the
+        # last block must end there.  The block sums are added one after another, so they
+        # drift ~sqrt(n/block) eps.
         monkeypatch.setattr(thermo, "_SERIES_BLOCK_CAP", block)
-        monkeypatch.setattr(thermo, "SERIES_RTOL", rtol)
         for c in [*np.geomspace(1e-6, 1e-2, 13).tolist(), 0.009, 0.02]:
-            exact = _gaussian_series_exact(c, rtol)
-            n = _gaussian_series_reference_stop(c, rtol)[1]
+            exact = _gaussian_series_exact(c)
+            n = _gaussian_series_reference_stop(c)[1]
             bound = 4 + 2 * math.sqrt(n / block)
             assert abs(_gaussian_series(c) - exact) <= bound * EPS * exact, c
+
+    def test_blocks_end_at_the_reference_stop(self):
+        # past the head the stop n* is a formula in S = (sqrt(pi/c) - 1)/2; the value is,
+        # bit for bit, the reference loop's n terms as np.exp blocks of 8192, each summed pairwise
+        for c in np.geomspace(1e-7, 0.008, 300).tolist():
+            n = _gaussian_series_reference_stop(c)[1]
+            total = 0.0
+            for first in range(1, n + 1, 8192):
+                k = np.arange(first, min(first + 8192, n + 1), dtype=float)
+                total += float(np.exp(k * -c * k).sum())
+            assert _gaussian_series(c) == total, c
+
+    @pytest.mark.parametrize("c", [2.4750e-11, 1e-13, 1e-300, 0.0, math.nan])
+    def test_cap_raises_before_any_term(self, monkeypatch, c):
+        # the stop is known up front, so a sum past SERIES_CAP, or one without a stop
+        # (c = 0, nan, or SERIES_RTOL * S >= 1), computes no np.exp term
+        calls = []
+
+        class SpyNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, *args, **kwargs):
+                calls.append(args)
+                return np.exp(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "np", SpyNumpy())
+        with pytest.raises(SeriesCapExceeded, match=f"needs more than {SERIES_CAP} terms"):
+            _gaussian_series(c)
+        assert calls == []
 
     @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
     def test_tail_bound_against_mpmath(self, c):
