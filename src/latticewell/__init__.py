@@ -32,7 +32,6 @@ from .spectrum import (
     K_B_SI,
     M_STAR_SI,
     ParticleSpec,
-    SpectralMode,
     Spectrum,
     build_hamiltonian_matrix,
     build_spectrum,

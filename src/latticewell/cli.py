@@ -335,8 +335,7 @@ def _cmd_spectrum(args: argparse.Namespace):
 
 def _cmd_wavefunction(args: argparse.Namespace):
     lattice = _lattice(args)
-    spec = build_spectrum(lattice, _particle(args))
-    psi = eigenfunction(spec.mode(args.n_E), lattice)
+    psi = eigenfunction(args.n_E, lattice)
     return {"n": np.arange(lattice.N + 1), "x_n": lattice.coords(), "psi": psi.values}
 
 

@@ -74,14 +74,6 @@ def dimensionless_energy(n_E, N: int):
     return s * s
 
 
-@dataclass(frozen=True)
-class SpectralMode:
-    """One eigenmode as eigenfunction needs it: quantum number and normalization constant."""
-
-    n_E: int
-    norm_const: float
-
-
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """The complete set of N-1 modes for one lattice and particle.
@@ -121,19 +113,15 @@ class Spectrum:
         eps0 = self.epsilon0
         return _BETA_EPS0_CAP / eps0 if beta * eps0 > _BETA_EPS0_CAP else beta
 
-    def mode(self, n_E: int) -> SpectralMode:
-        """Mode n_E, normalized to sqrt(2/L), or to 1/sqrt(L) for n_E = N/2.
+    def mode(self, n_E: int) -> int:
+        """n_E as an int, once it is checked to be one of the N-1 modes.
 
-        Under the odd-site quadrature the square of the n_E = N/2 mode (N
-        even) integrates to a*N instead of a*N/2, hence its constant.
+        eigenfunction(n_E, lattice) needs no spectrum; this stays only for
+        bench/workloads.py, which calls eigenfunction(spec.mode(1), lat).
         """
-        N, L = self.lattice.N, self.lattice.L
-        if not 1 <= n_E <= N - 1:
-            raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
-        if 2 * n_E == N:
-            return SpectralMode(int(n_E), 1.0 / math.sqrt(L))
-        r = 2.0 / L  # split the root only where 2/L overflows: sqrt(2/L) is the more accurate
-        return SpectralMode(int(n_E), math.sqrt(r) if math.isfinite(r) else math.sqrt(2.0) / math.sqrt(L))
+        if not 1 <= n_E <= self.lattice.N - 1:
+            raise ValueError(f"n_E={n_E} outside [1, {self.lattice.N - 1}]")
+        return int(n_E)
 
 
 def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> float:
@@ -162,12 +150,21 @@ def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:
     return Spectrum(lattice, particle, e_tilde)
 
 
-def eigenfunction(mode: SpectralMode, lattice: LatticeSpec) -> LatticeFunction:
-    """Normalized eigenfunction norm_const * sin(pi n_E n / N) on sites 0..N."""
-    N = lattice.N
-    if not 1 <= mode.n_E <= N - 1:
-        raise ValueError(f"mode n_E={mode.n_E} does not belong to a lattice with N={N}")
-    return LatticeFunction(mode.norm_const * sin_pi_ratio(mode.n_E * np.arange(N + 1), N))
+def eigenfunction(n_E: int, lattice: LatticeSpec) -> LatticeFunction:
+    """Mode n_E on sites 0..N: sqrt(2/L) sin(pi n_E n / N), or 1/sqrt(L) times the sine for n_E = N/2.
+
+    Under the odd-site quadrature the square of the n_E = N/2 mode (N
+    even) integrates to a*N instead of a*N/2, hence its constant.
+    """
+    N, L = lattice.N, lattice.L
+    if not 1 <= n_E <= N - 1:
+        raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
+    if 2 * n_E == N:
+        norm = 1.0 / math.sqrt(L)
+    else:
+        r = 2.0 / L  # split the root only where 2/L overflows: sqrt(2/L) is the more accurate
+        norm = math.sqrt(r) if math.isfinite(r) else math.sqrt(2.0) / math.sqrt(L)
+    return LatticeFunction(norm * sin_pi_ratio(n_E * np.arange(N + 1), N))
 
 
 def build_hamiltonian_matrix(lattice: LatticeSpec) -> np.ndarray:

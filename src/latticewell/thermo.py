@@ -45,6 +45,8 @@ class PartitionResult:
         """F = -ln Z / beta; a Z = 0 has no logarithm (ValueError), and an F that overflows raises OverflowError."""
         if self.beta <= 0:
             raise ValueError(f"free energy needs beta > 0, got {self.beta!r}")
+        if not self.Z:
+            raise ValueError(f"F = -ln Z/beta is undefined: Z underflows to 0 at beta={self.beta!r}")
         F = -math.log(self.Z) / self.beta
         if not math.isfinite(F):
             raise OverflowError(f"F = -ln Z/beta overflows at Z={self.Z!r}, beta={self.beta!r}")
@@ -56,14 +58,15 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
 
     Every continuum route computes mu first, so this is the one check of
     their arguments: beta > 0 and L > 0 (NaN fails both).  A 2 m* L^2 that
-    underflows to 0 raises OverflowError; a mu = inf from a large beta is Z = 0.
+    underflows to 0 raises OverflowError; a mu = inf from a large beta or hbar is Z = 0
+    (hbar hbar, not libm's pow, which raises where the square overflows).
     """
     if not (beta > 0 and L > 0):
         raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
     den = 2.0 * particle.m_star * L * L
     if not den:
         raise OverflowError(f"the theta argument mu = beta hbar^2 pi^2/(2 m* L^2) overflows at L={L!r}")
-    return beta * particle.hbar ** 2 * math.pi ** 2 / den
+    return beta * (particle.hbar * particle.hbar) * math.pi ** 2 / den
 
 
 def _gaussian_series(c: float) -> float:
@@ -133,12 +136,13 @@ def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> Pa
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
     """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
     theta_argument(L, particle, beta)  # the one check of beta and L
-    d = 2.0 * math.pi * beta * particle.hbar ** 2
+    d = 2.0 * math.pi * beta * (particle.hbar * particle.hbar)
     r = particle.m_star / d if d else 0.0
     # split the root where d underflows to 0 or overflows, or m*/d under- or overflows, so that Z stays representable
-    # (a normal r keeps L sqrt(r)); dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
+    # (a normal r keeps L sqrt(r)); sqrt(m*) on its own keeps a subnormal m*, which m*/(2 pi) would round away, and
+    # dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
     if not sys.float_info.min <= r < math.inf:
-        Z = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / math.sqrt(beta) / particle.hbar
+        Z = L * math.sqrt(particle.m_star) / math.sqrt(2.0 * math.pi) / math.sqrt(beta) / particle.hbar
     else:
         Z = L * math.sqrt(r)
     if not math.isfinite(Z):
@@ -194,11 +198,14 @@ def mean_energy_continuum(L: float, particle: ParticleSpec, beta: float) -> floa
     """-d ln Z / d beta of the closed continuum form, by central difference; an H that overflows raises OverflowError.
 
     Analytically this is 1/(2 beta) (equipartition); the finite difference
-    keeps the route independent of that identity.
+    keeps the route independent of that identity.  A Z_closed that underflows
+    to 0 has no logarithm (ValueError).
     """
     h = 1e-4 * beta
     zp = partition_continuum_closed(L, particle, beta + h).Z
     zm = partition_continuum_closed(L, particle, beta - h).Z
+    if not (zp and zm):
+        raise ValueError(f"H_mean_continuum is undefined: Z_closed underflows to 0 at L={L!r}, beta={beta!r}")
     # h underflows to 0 below beta ~ 5e-320, where 1/(2 beta) overflows anyway
     H = -(math.log(zp) - math.log(zm)) / (2.0 * h) if h else math.inf
     if not math.isfinite(H):

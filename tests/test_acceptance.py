@@ -124,7 +124,7 @@ def test_criterion_4_normalization_and_completeness():
             lat = LatticeSpec(N, 0.5)
             spec = build_spectrum(lat, NATURAL)
             for n_E in spec.n_E:
-                psi = eigenfunction(spec.mode(n_E), lat)
+                psi = eigenfunction(n_E, lat)
                 sq = LatticeFunction(psi.values ** 2)
                 assert abs(definite_integral(sq, 0, N, lat.a) - 1.0) <= 1e-12
         for N in (5, 21):

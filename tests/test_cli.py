@@ -1,5 +1,6 @@
 """CLI: config parsing, exit statuses, determinism, and golden-file regression."""
 
+import contextlib
 import csv
 import io
 import json
@@ -400,13 +401,22 @@ class TestExitStatuses:
         (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
         (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4, "sum of exp(-0 n^2)"),
         (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
-        (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta"),
+        (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta overflows"),
         (["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
-          "--sweep", "1.7e-320:3.40016e-320:3:linear"], 3, "H_mean_continuum"),
+          "--sweep", "1.7e-320:3.40016e-320:3:linear"], 3, "H_mean_continuum overflows"),
+        (["partition", "--L", "1", "--SI", "--hbar", "1e160", "--beta", "1"], 0, None),
+        (["mean-energy", "--L", "1", "--SI", "--hbar", "1e200", "--beta", "1"], 0, None),
+        (["partition", "--L", "1e150", "--SI", "--m-star", "5e-324", "--hbar", "1", "--beta", "1"], 0, None),
+        (["partition", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
+         "F = -ln Z/beta is undefined: Z underflows to 0"),
+        (["mean-energy", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
+         "H_mean_continuum is undefined: Z_closed underflows to 0"),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
             "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
-            "free-energy-overflow", "mean-energy-step-underflow"])
+            "free-energy-overflow", "mean-energy-step-underflow",
+            "partition-hbar-squared-overflow", "mean-energy-hbar-squared-overflow",
+            "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
@@ -414,15 +424,59 @@ class TestExitStatuses:
         # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed, and Z_closed ~ 1.5e160
         # as 2 pi beta hbar^2 underflowed to 0 and was divided by; there mu underflows too,
         # so the continuum sum of ones hits the series cap; F = -ln Z/beta overflows at
-        # beta ~ 1e-308, and the step h = 1e-4 beta of H_mean_continuum underflows to 0
+        # beta ~ 1e-308, and the step h = 1e-4 beta of H_mean_continuum underflows to 0;
+        # hbar ** 2 raised libm's "Numerical result out of range" past hbar ~ 1.34e154,
+        # m*/(2 pi) rounded a subnormal m* to 0, and ln of a Z_closed ~ 4e-331 that
+        # underflows to 0 failed as a bare "math domain error"
         assert main(argv) == code
         captured = capsys.readouterr()
-        cells = [cell for row in list(csv.reader(io.StringIO(captured.out)))[1:] for cell in row]
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        # a run without --N prints its discrete column as nan
+        cells = [cell for row in rows for column, cell in row.items() if "--N" in argv or "discrete" not in column]
         assert (len(cells) > 0) == (code == 0)
         assert all(math.isfinite(float(cell)) for cell in cells)
         if named:
-            message = {3: "domain error: {} overflows", 4: "numeric error: {} needs more than"}[code]
+            message = {3: "domain error: {}", 4: "numeric error: {} needs more than"}[code]
             assert message.format(named) in captured.err
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_exit_code_contract(self, data):
+        # any flag set from the domain below exits 0-4 with no traceback, no bare libm
+        # message and no nan or inf cell but the discrete columns of a run without --N
+        draw = data.draw
+        power = st.floats(-323.0, 308.0).map(lambda u: 10.0 ** u)
+        command = draw(st.sampled_from(["spectrum", "wavefunction", "density-matrix", "partition", "mean-energy",
+                                        "heat-capacity", "converge"]))
+        argv = [command]
+        N = None if command == "converge" else draw(st.none() | st.integers(2, 64))
+        if N is not None:
+            argv += ["--N", str(N)]
+        width = "--L" if command == "converge" else draw(st.sampled_from(["--L", "--a"]))
+        argv += [width, repr(draw(power))]
+        if draw(st.booleans()):
+            argv += ["--SI", "--m-star", repr(draw(power)), "--hbar", repr(draw(power)), "--k-B", repr(draw(power))]
+        else:
+            argv += ["--natural"]
+        swept = command in ("partition", "mean-energy", "heat-capacity", "converge")
+        if swept and (command == "converge" or draw(st.booleans())):
+            start, stop = sorted([draw(power), draw(power)])
+            points, scale = draw(st.integers(2, 5)), draw(st.sampled_from(["linear", "log"]))
+            argv += ["--sweep", f"{start!r}:{stop!r}:{points}:{scale}"]
+        elif command not in ("spectrum", "wavefunction"):
+            argv += [draw(st.sampled_from(["--beta", "--T"])), repr(draw(power))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err.getvalue(), argv
+        for bare in ("math domain error", "Numerical result out of range", "float division by zero",
+                     "too large to convert"):
+            assert bare not in err.getvalue(), (argv, err.getvalue())
+        for row in csv.DictReader(io.StringIO(out.getvalue())):
+            for column, cell in row.items():
+                if N is not None or "discrete" not in column:
+                    assert cell.lower() not in ("nan", "inf", "-inf"), (argv, column)
 
 
 class TestOutput:

@@ -48,7 +48,7 @@ def test_lattice_spec_validation():
     (lambda: centered_diff2(SQUARES, 1, 0.5), 8.0),
     (lambda: centered_diff2(SQUARES, 5, 0.5), -56.0),
     (lambda: centered_diff2(SQUARES, 6, 0.5), -73.0),
-    (lambda: eigenfunction(build_spectrum(LatticeSpec(9), NATURAL).mode(7), LatticeSpec(5)), ValueError),
+    (lambda: eigenfunction(7, LatticeSpec(5)), ValueError),
     (lambda: continuum_limit_error(8, 8), ValueError),
     (lambda: DensityMatrix(np.zeros((4, 4)), LatticeSpec(4)), ValueError),
     (lambda: propagate_bloch(LatticeSpec(4), NATURAL, -1.0), ValueError),
@@ -162,17 +162,31 @@ class TestSpectrumObject:
             assert spec.e_tilde.shape == (N - 1,)
 
     def test_norm_constants(self):
-        spec = build_spectrum(LatticeSpec(10, 0.5), NATURAL)
+        # the constant is psi(1) / sin(pi n_E / N), and sin(pi n_E / N) = sin(pi (N - n_E) / N)
+        lat = LatticeSpec(10, 0.5)
         L = 5.0
-        for n_E in spec.n_E:
+        for n_E in range(1, 10):
             expected = 1 / math.sqrt(L) if n_E == 5 else math.sqrt(2 / L)
-            assert spec.mode(n_E).norm_const == pytest.approx(expected, rel=1e-15)
+            sine = math.sin(math.pi * min(n_E, 10 - n_E) / 10)
+            assert eigenfunction(n_E, lat)(1) / sine == pytest.approx(expected, rel=1e-15)
 
     def test_mode_lookup(self):
         spec = build_spectrum(LatticeSpec(9), NATURAL)
-        assert spec.mode(3).n_E == 3
-        with pytest.raises(ValueError):
-            spec.mode(9)
+        n_E = spec.mode(np.int64(3))
+        assert n_E == 3 and type(n_E) is int
+        for bad in (0, 9):
+            with pytest.raises(ValueError, match=f"n_E={bad} outside \\[1, 8\\]"):
+                spec.mode(bad)
+            with pytest.raises(ValueError, match=f"n_E={bad} outside \\[1, 8\\]"):
+                eigenfunction(bad, LatticeSpec(9))
+
+    def test_mode_lookup_feeds_eigenfunction(self):
+        # the path eigenfunction(spec.mode(n_E), lattice) gives the same bits as eigenfunction(n_E, lattice)
+        for N in (2, 9, 10):
+            lat = LatticeSpec(N, 0.3)
+            spec = build_spectrum(lat, NATURAL)
+            for n_E in spec.n_E:
+                assert np.array_equal(eigenfunction(spec.mode(n_E), lat).values, eigenfunction(n_E, lat).values)
 
 
 class TestEigenfunctions:
@@ -180,8 +194,7 @@ class TestEigenfunctions:
         # N = 2 has a single mode, and it is the half-band mode n_E = N/2:
         # its square integrates to a*N, so the constant is 1/sqrt(L)
         lat = LatticeSpec(2)
-        spec = build_spectrum(lat, NATURAL)
-        psi = eigenfunction(spec.mode(1), lat)
+        psi = eigenfunction(1, lat)
         assert psi(1) == pytest.approx(1 / math.sqrt(lat.L), rel=1e-15)
         sq = LatticeFunction(psi.values ** 2)
         assert definite_integral(sq, 0, 2, lat.a) == pytest.approx(1.0, abs=1e-15)
@@ -189,9 +202,8 @@ class TestEigenfunctions:
     def test_boundary_zeros_exact(self):
         for N in (5, 10, 33):
             lat = LatticeSpec(N, 0.7)
-            spec = build_spectrum(lat, NATURAL)
-            for m in map(spec.mode, spec.n_E):
-                psi = eigenfunction(m, lat)
+            for n_E in range(1, N):
+                psi = eigenfunction(n_E, lat)
                 assert psi(0) == 0.0
                 assert psi(N) == 0.0
 
@@ -201,7 +213,7 @@ class TestEigenfunctions:
             lat = LatticeSpec(N)
             spec = build_spectrum(lat, NATURAL)
             for n_E, e_tilde in zip(spec.n_E, spec.e_tilde):
-                psi = eigenfunction(spec.mode(n_E), lat)
+                psi = eigenfunction(n_E, lat)
                 top = np.max(np.abs(psi.values))
                 for n in range(2, N - 1):
                     resid = 0.25 * (psi(n + 2) - 2 * psi(n) + psi(n - 2)) + e_tilde * psi(n)
@@ -211,20 +223,18 @@ class TestEigenfunctions:
         # includes the n_E = N/2 mode with its 1/sqrt(L) constant
         for N in (9, 10, 21):
             lat = LatticeSpec(N, 0.4)
-            spec = build_spectrum(lat, NATURAL)
-            for m in map(spec.mode, spec.n_E):
-                psi = eigenfunction(m, lat)
+            for n_E in range(1, N):
+                psi = eigenfunction(n_E, lat)
                 sq = LatticeFunction(psi.values ** 2)
                 assert definite_integral(sq, 0, N, lat.a) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonality_except_mirror_pairs(self):
         for N in (9, 12):
             lat = LatticeSpec(N)
-            spec = build_spectrum(lat, NATURAL)
             for j in range(1, N):
                 for k in range(j + 1, N):
-                    fj = eigenfunction(spec.mode(j), lat)
-                    fk = eigenfunction(spec.mode(k), lat)
+                    fj = eigenfunction(j, lat)
+                    fk = eigenfunction(k, lat)
                     prod = LatticeFunction(fj.values * fk.values)
                     overlap = definite_integral(prod, 0, N, lat.a)
                     if j + k == N:
@@ -308,7 +318,7 @@ class TestContinuumLimit:
         # centered_diff2 route: (d2 psi)(n) = -(2 m E / hbar^2) psi(n)
         lat = LatticeSpec(12, 0.5)
         spec = build_spectrum(lat, NATURAL)
-        psi = eigenfunction(spec.mode(3), lat)
+        psi = eigenfunction(3, lat)
         coeff = 2.0 * NATURAL.m_star * spec.energies[2] / NATURAL.hbar ** 2
         for n in range(2, 11):
             lhs = centered_diff2(psi, n, lat.a)

@@ -167,6 +167,32 @@ class TestPartitionContinuum:
             exact = mpmath.sqrt(1 / (2 * mpmath.pi * mpmath.mpf(beta)))
         assert partition_continuum_closed(1.0, NATURAL, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
 
+    def test_theta_argument_where_hbar_squared_overflows(self):
+        # hbar^2 = 1e320 overflows: mu = inf is the documented Z = 0, where pow would raise
+        assert theta_argument(1.0, ParticleSpec.si(hbar=1e160), 1.0) == math.inf
+
+    @pytest.mark.parametrize("L, particle", [
+        (1.0, ParticleSpec.si(hbar=1e160)),
+        (1e150, ParticleSpec.si(m_star=5e-324, hbar=1.0)),
+        (1e150, ParticleSpec.si(m_star=1e-320, hbar=1.0)),
+    ], ids=["hbar-squared-overflows", "m-star-5e-324", "m-star-1e-320"])
+    def test_closed_form_of_a_split_root_against_mpmath(self, L, particle):
+        # the split root L sqrt(m*)/sqrt(2 pi)/sqrt(beta)/hbar: hbar hbar = inf takes it, and a
+        # subnormal m* keeps its own digits there (m*/(2 pi) rounded 5e-324 to 0, and 1e-320 by 2e-4)
+        with mpmath.workdps(40):
+            exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * mpmath.mpf(particle.hbar) ** 2))
+        assert partition_continuum_closed(L, particle, 1.0).Z == pytest.approx(float(exact), rel=2 * EPS, abs=0)
+
+    def test_closed_form_that_underflows_names_its_logarithms(self):
+        # Z_closed ~ 4e-331 underflows to 0: F and H_mean_continuum name it instead of libm's "math domain error"
+        L, particle, beta = 1e-160, ParticleSpec.si(m_star=1e160, hbar=1e100), 1e300
+        res = partition_continuum_closed(L, particle, beta)
+        assert res.Z == 0.0
+        with pytest.raises(ValueError, match="F = -ln Z/beta is undefined: Z underflows to 0"):
+            res.free_energy
+        with pytest.raises(ValueError, match="H_mean_continuum is undefined: Z_closed underflows to 0"):
+            mean_energy_continuum(L, particle, beta)
+
     def test_closed_linear_in_width(self):
         beta = 0.37
         z1 = partition_continuum_closed(1.0, NATURAL, beta).Z
@@ -485,7 +511,7 @@ class TestFreeEnergy:
         # F column comes from the closed form instead
         res = partition_discrete(spectrum_for(6), 1e5)
         assert res.Z == 0.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Z underflows to 0"):
             res.free_energy
 
     def test_convexity_of_log_partition(self):
