@@ -59,14 +59,17 @@ def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
     Every continuum route computes mu first, so this is the one check of
     their arguments: beta > 0 and L > 0 (NaN fails both).  A 2 m* L^2 that
     underflows to 0 raises OverflowError; a mu = inf from a large beta or hbar is Z = 0
-    (hbar hbar, not libm's pow, which raises where the square overflows).
+    (hbar hbar, not libm's pow, which raises where the square overflows).  Where
+    beta hbar hbar and 2 m* L^2 both overflow, so that their quotient would be NaN,
+    mu is beta (pi^2/2) u u with u = hbar/L/sqrt(m*).
     """
     if not (beta > 0 and L > 0):
         raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
     den = 2.0 * particle.m_star * L * L
     if not den:
         raise OverflowError(f"the theta argument mu = beta hbar^2 pi^2/(2 m* L^2) overflows at L={L!r}")
-    return beta * (particle.hbar * particle.hbar) * math.pi ** 2 / den
+    mu = beta * (particle.hbar * particle.hbar) * math.pi ** 2 / den
+    return mu if mu == mu else beta * (math.pi ** 2 / 2.0) * (u := particle.hbar / L / math.sqrt(particle.m_star)) * u
 
 
 def _gaussian_series(c: float) -> float:
@@ -139,10 +142,12 @@ def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) ->
     d = 2.0 * math.pi * beta * (particle.hbar * particle.hbar)
     r = particle.m_star / d if d else 0.0
     # split the root where d underflows to 0 or overflows, or m*/d under- or overflows, so that Z stays representable
-    # (a normal r keeps L sqrt(r)); sqrt(m*) on its own keeps a subnormal m*, which m*/(2 pi) would round away, and
-    # dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow to 0
+    # (a normal r keeps L sqrt(r)); dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow
+    # to 0, and where m*/(2 pi) is subnormal, sqrt(m*) on its own keeps the digits that quotient would round away
     if not sys.float_info.min <= r < math.inf:
-        Z = L * math.sqrt(particle.m_star) / math.sqrt(2.0 * math.pi) / math.sqrt(beta) / particle.hbar
+        q = particle.m_star / (2.0 * math.pi)
+        root = math.sqrt(q) if q >= sys.float_info.min else math.sqrt(particle.m_star) / math.sqrt(2.0 * math.pi)
+        Z = L * root / math.sqrt(beta) / particle.hbar
     else:
         Z = L * math.sqrt(r)
     if not math.isfinite(Z):

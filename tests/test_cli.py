@@ -394,8 +394,8 @@ class TestExitStatuses:
 
     @pytest.mark.parametrize("argv, code, named", [
         (["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"], 0, None),
-        (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
-        (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum"),
+        (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
+        (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
         (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
         (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
         (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
@@ -411,12 +411,15 @@ class TestExitStatuses:
          "F = -ln Z/beta is undefined: Z underflows to 0"),
         (["mean-energy", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
          "H_mean_continuum is undefined: Z_closed underflows to 0"),
+        (["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
+        (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
             "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
             "free-energy-overflow", "mean-energy-step-underflow",
             "partition-hbar-squared-overflow", "mean-energy-hbar-squared-overflow",
-            "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow"])
+            "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow",
+            "partition-both-squares-overflow", "mean-energy-both-squares-overflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
@@ -427,7 +430,8 @@ class TestExitStatuses:
         # beta ~ 1e-308, and the step h = 1e-4 beta of H_mean_continuum underflows to 0;
         # hbar ** 2 raised libm's "Numerical result out of range" past hbar ~ 1.34e154,
         # m*/(2 pi) rounded a subnormal m* to 0, and ln of a Z_closed ~ 4e-331 that
-        # underflows to 0 failed as a bare "math domain error"
+        # underflows to 0 failed as a bare "math domain error"; where hbar hbar and 2 m* L^2 both
+        # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap
         assert main(argv) == code
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))

@@ -172,13 +172,36 @@ class TestPartitionContinuum:
         assert theta_argument(1.0, ParticleSpec.si(hbar=1e160), 1.0) == math.inf
 
     @pytest.mark.parametrize("L, particle", [
+        (1e160, ParticleSpec.si(m_star=1.0, hbar=1e160)),
+        (10.0, ParticleSpec.si(m_star=1e306, hbar=1e155)),
+    ], ids=["mu-pi-squared-over-2", "mu-493"])
+    def test_theta_argument_where_both_squares_overflow(self, L, particle):
+        # hbar hbar and 2 m* L^2 both overflow: inf/inf made mu NaN, which the continuum sum
+        # reported as its series cap; the sum is checked at the returned mu, since exp(-mu)
+        # scales mu's own rounding by mu
+        mu = theta_argument(L, particle, 1.0)
+        with mpmath.workdps(40):
+            hbar, m_star = mpmath.mpf(particle.hbar), mpmath.mpf(particle.m_star)
+            exact_mu = mpmath.pi ** 2 * hbar ** 2 / (2 * m_star * mpmath.mpf(L) ** 2)
+            exact = mpmath.nsum(lambda n: mpmath.exp(-mpmath.mpf(mu) * n * n), [1, mpmath.inf])
+        assert mu == pytest.approx(float(exact_mu), rel=4 * EPS, abs=0)
+        assert partition_continuum_sum(L, particle, 1.0).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
+
+    def test_split_root_of_a_normal_quotient_keeps_its_root(self):
+        # r = m*/(2 pi beta hbar^2) underflows but m*/(2 pi) is normal: the split root keeps
+        # sqrt(m*/(2 pi)), bit for bit, and takes sqrt(m*) on its own only where that quotient is subnormal
+        L, particle, beta = 4e150, ParticleSpec.si(hbar=1e154), 1e-12
+        expected = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / math.sqrt(beta) / particle.hbar
+        assert partition_continuum_closed(L, particle, beta).Z == expected
+
+    @pytest.mark.parametrize("L, particle", [
         (1.0, ParticleSpec.si(hbar=1e160)),
         (1e150, ParticleSpec.si(m_star=5e-324, hbar=1.0)),
         (1e150, ParticleSpec.si(m_star=1e-320, hbar=1.0)),
     ], ids=["hbar-squared-overflows", "m-star-5e-324", "m-star-1e-320"])
     def test_closed_form_of_a_split_root_against_mpmath(self, L, particle):
-        # the split root L sqrt(m*)/sqrt(2 pi)/sqrt(beta)/hbar: hbar hbar = inf takes it, and a
-        # subnormal m* keeps its own digits there (m*/(2 pi) rounded 5e-324 to 0, and 1e-320 by 2e-4)
+        # the split root L sqrt(m*/(2 pi))/sqrt(beta)/hbar: hbar hbar = inf takes it, and a subnormal
+        # m* takes sqrt(m*)/sqrt(2 pi) there (m*/(2 pi) rounded 5e-324 to 0, and 1e-320 by 2e-4)
         with mpmath.workdps(40):
             exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * mpmath.mpf(particle.hbar) ** 2))
         assert partition_continuum_closed(L, particle, 1.0).Z == pytest.approx(float(exact), rel=2 * EPS, abs=0)
