@@ -13,7 +13,10 @@ parsed from flags and config file, null where an option was not given (the
 sweep as its text); ``meta`` holds the package version, the unit mode and the
 m_star, hbar and k_B the run used.  Either format streams its rows in blocks of
 ``EMIT_BLOCK_ROWS``, so writing a table takes memory for one block, not for the
-table; JSON writes ``rows`` before ``meta``.
+table; JSON writes ``rows`` before ``meta``.  The density matrix is built as its
+(N+1) x (N+1) matrix, not as (N+1)^2 rows of three columns, and its rows
+(n, n_prime, rho) are written one matrix row per block, from one row template
+that already holds every n_prime.
 
 A ``--config`` file holds ``key = value`` lines (``#`` starts a comment).
 Keys are the subcommand's long flag names without the dashes, with ``_`` and
@@ -28,8 +31,8 @@ Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read, an --out
 path that cannot be written and a sweep whose values overflow; 3 domain error,
 including a quantity that overflows (beta or T from the other, energy scale,
-width, Z_closed, Z_theta, F, H_mean_continuum, x); 4 numeric error (series cap
-hit).
+E_continuum, width, Z_closed, Z_theta, F, H_mean_continuum, x); 4 numeric error
+(series cap hit).
 """
 
 import argparse
@@ -76,10 +79,12 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
-#: Rows formatted per write in either format, which bounds the emitter's memory.
-#: Emitting the 160,801-row density matrix at N = 400 as CSV took a median 115 ms
-#: at 4,096 rows (25 interleaved runs on a shared 2-core host), against 132 ms at
-#: 256 and 1,024 rows and 136 ms at 65,536, and peaked at 0.8 MB under tracemalloc.
+#: Rows of a column table formatted per write in either format, which bounds the
+#: emitter's memory (a density matrix goes one matrix row per write instead).
+#: Emitting the 160,801-row CSV of ``wavefunction --N 160800`` took a best 123 ms
+#: at 4,096 rows (9 interleaved runs on a shared 2-core host), against 126 ms at
+#: 1,024 and 8,192 rows and 140 ms at 65,536, and peaked at 0.9 MB under
+#: tracemalloc (1.8 MB at 8,192 rows).
 EMIT_BLOCK_ROWS = 1 << 12
 
 #: Mutually exclusive option pairs, by dest.
@@ -351,8 +356,7 @@ def _cmd_density_matrix(args: argparse.Namespace):
         dm = density_matrix_normalized(density_matrix_spectral(spec, beta), partition_discrete(spec, beta).Z)
     else:
         dm = density_matrix_spectral(spec, beta)
-    n = np.arange(lattice.N + 1)
-    return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), "rho": dm.rho.ravel()}
+    return SiteMatrix("rho", dm.rho)
 
 
 def _discrete_spectrum(args: argparse.Namespace, particle: ParticleSpec):
@@ -433,8 +437,16 @@ _COMMANDS = {
 }
 
 
-def build_table(args: argparse.Namespace) -> dict:
-    """The configured table as ordered {column name: values} of equal length."""
+@dataclass(frozen=True)
+class SiteMatrix:
+    """A table held as its matrix: one row (n, n_prime, name) per site pair, n-major, over the sites 0..N."""
+
+    name: str
+    matrix: np.ndarray
+
+
+def build_table(args: argparse.Namespace) -> dict | SiteMatrix:
+    """The configured table as ordered {column name: values} of equal length, or a density matrix as its matrix."""
     return _COMMANDS[args.command](args)
 
 
@@ -454,32 +466,46 @@ def _json_cells(block: np.ndarray) -> list:
     return [v if math.isfinite(v) else "null" for v in cells]
 
 
-def emit(args: argparse.Namespace, table: dict, stream) -> None:
+def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document (nan/inf as null).
 
     Both formats stream the rows in blocks of ``EMIT_BLOCK_ROWS``: one ``%`` format
     of a row template per block, so the emitter's memory is O(block), not O(table).
+    A ``SiteMatrix`` is written one matrix row per write instead, from one
+    template of a whole matrix row built once, with each n_prime in it as text:
+    each row's n goes in as one ``str`` and only its N+1 cells are formatted, so
+    the template and each write hold O(N) cells and no int is formatted per cell.
     JSON's ``rows`` come before ``meta``, so the document is written as a head
     (``config`` and ``columns``), the row blocks joined by ", ", and a tail (``meta``),
     byte for byte the ``json.dumps`` of the whole document.
     """
-    columns = [np.asarray(v) for v in table.values()]
+    matrix = table.matrix if isinstance(table, SiteMatrix) else None
+    names = list(table) if matrix is None else ["n", "n_prime", table.name]
+    columns = [np.asarray(v) for v in table.values()] if matrix is None else []
     if args.output == "csv":
-        stream.write(",".join(table) + "\n")
+        stream.write(",".join(names) + "\n")
         row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-        joint, cells_of = "", np.ndarray.tolist
+        site_row, joint, cells_of = "%s,{},%.17g\n", "", np.ndarray.tolist
     else:
-        head = json.dumps({"config": vars(args), "columns": list(table)},
+        head = json.dumps({"config": vars(args), "columns": names},
                           default=lambda sweep: sweep.text, allow_nan=False)
         stream.write(head[:-1] + ', "rows": [')  # the head without its closing brace
         row = "[" + ", ".join(["%s"] * len(columns)) + "]"
-        joint, cells_of = ", ", _json_cells
+        site_row, joint, cells_of = "[%s, {}, %s]", ", ", _json_cells
     lead = ""
-    for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
-        cells = [cells_of(col[start:start + EMIT_BLOCK_ROWS]) for col in columns]
-        template = lead + joint.join([row] * len(cells[0]))
-        stream.write(template % tuple(itertools.chain.from_iterable(zip(*cells))))
-        lead = joint
+    if matrix is None:
+        for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
+            cells = [cells_of(col[start:start + EMIT_BLOCK_ROWS]) for col in columns]
+            template = lead + joint.join([row] * len(cells[0]))
+            stream.write(template % tuple(itertools.chain.from_iterable(zip(*cells))))
+            lead = joint
+    else:
+        template = joint.join([site_row.format(n_prime) for n_prime in range(len(matrix))])
+        for n, values in enumerate(matrix):
+            cells = [str(n), None] * len(matrix)
+            cells[1::2] = cells_of(values)
+            stream.write(lead + template % tuple(cells))
+            lead = joint
     if args.output == "json":
         meta = {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))}
         stream.write('], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n")

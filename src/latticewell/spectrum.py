@@ -79,7 +79,8 @@ class Spectrum:
     """The complete set of N-1 modes for one lattice and particle.
 
     e_tilde is the read-only array of dimensionless energies over
-    n_E = 1..N-1; energies scales it by epsilon0 on each read.
+    n_E = 1..N-1; energies is epsilon0 times it, read-only, formed on the
+    first read (where an energy scale that overflows raises) and kept.
     """
 
     lattice: LatticeSpec
@@ -96,7 +97,12 @@ class Spectrum:
 
     @property
     def energies(self) -> np.ndarray:
-        return self.epsilon0 * self.e_tilde
+        E = self.__dict__.get("_energies")
+        if E is None:
+            E = self.epsilon0 * self.e_tilde
+            E.setflags(write=False)
+            object.__setattr__(self, "_energies", E)  # the dataclass is frozen
+        return E
 
     def boltzmann_beta(self, beta: float) -> float:
         """beta for use inside exp(-beta E), capped so that beta * E cannot overflow.
@@ -136,11 +142,18 @@ def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> f
 
 
 def energy_continuum(n_E, L: float, particle: ParticleSpec):
-    """Parabolic continuum eigenvalue pi^2 n_E^2 times energy_scale(L) = hbar^2 / (2 m* L^2)."""
+    """Parabolic continuum eigenvalue pi^2 n_E^2 times energy_scale(L) = hbar^2 / (2 m* L^2).
+
+    It can overflow where the lattice eigenvalue, at most energy_scale(a), does not.
+    """
     n_E = np.asarray(n_E)
     if np.any(n_E < 1):
         raise ValueError(f"n_E must be >= 1, got {n_E}")
-    return particle.energy_scale(L) * math.pi ** 2 * n_E * n_E
+    with np.errstate(over="ignore"):
+        E = particle.energy_scale(L) * math.pi ** 2 * n_E * n_E
+    if not np.isfinite(E).all():
+        raise OverflowError(f"E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflows at L={L!r}")
+    return E
 
 
 def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:

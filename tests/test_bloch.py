@@ -276,8 +276,11 @@ class TestPropagation:
 
     def test_stability_guard(self):
         lat = LatticeSpec(5)
-        with pytest.raises(ValueError):
-            propagate_bloch(lat, NATURAL, 10.0, steps=2)
+        # epsilon0 = 1/2, so two steps to beta = 10, 6 and 4 are df = 2.5, 1.5 and 1.0: df = 1 is stable
+        for beta in (10.0, 6.0):
+            with pytest.raises(ValueError, match="stability bound"):
+                propagate_bloch(lat, NATURAL, beta, steps=2)
+        assert np.isfinite(propagate_bloch(lat, NATURAL, 4.0, steps=2).rho).all()
 
     def test_rejects_bad_steps(self):
         with pytest.raises(ValueError):

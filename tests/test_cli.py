@@ -19,7 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticewell import ParticleSpec, __version__, cli, partition_continuum_sum
-from latticewell.cli import ConfigError, SweepSpec, _lattice, _particle, build_table, emit, main, parse_config
+from latticewell.cli import (
+    ConfigError,
+    SiteMatrix,
+    SweepSpec,
+    _lattice,
+    _particle,
+    build_table,
+    emit,
+    main,
+    parse_config,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -413,13 +423,14 @@ class TestExitStatuses:
          "H_mean_continuum is undefined: Z_closed underflows to 0"),
         (["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
         (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
+        (["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"], 3, "E_continuum = pi^2 n_E^2"),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
             "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
             "free-energy-overflow", "mean-energy-step-underflow",
             "partition-hbar-squared-overflow", "mean-energy-hbar-squared-overflow",
             "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow",
-            "partition-both-squares-overflow", "mean-energy-both-squares-overflow"])
+            "partition-both-squares-overflow", "mean-energy-both-squares-overflow", "spectrum-continuum-overflow"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
@@ -431,7 +442,8 @@ class TestExitStatuses:
         # hbar ** 2 raised libm's "Numerical result out of range" past hbar ~ 1.34e154,
         # m*/(2 pi) rounded a subnormal m* to 0, and ln of a Z_closed ~ 4e-331 that
         # underflows to 0 failed as a bare "math domain error"; where hbar hbar and 2 m* L^2 both
-        # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap
+        # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap; and
+        # E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflowed where the lattice E did not
         assert main(argv) == code
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))
@@ -684,6 +696,12 @@ def _expected(args, table):
     return stream.getvalue()
 
 
+def _site_columns(table):
+    """A SiteMatrix as the (N+1)^2 columns n, n_prime and its cells, n-major."""
+    n = np.arange(len(table.matrix))
+    return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), table.name: table.matrix.ravel()}
+
+
 class _Sink:
     """A stream that keeps only the number of characters written to it."""
 
@@ -727,6 +745,23 @@ class TestEmitBlocks:
             table[f"f{k}"] = data.draw(st.lists(st.floats(), min_size=rows, max_size=rows))
         assert _emitted(args, table, block_rows) == _expected(args, table)
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 65])
+    def test_site_matrix_keeps_the_bytes_of_its_three_columns(self, N, output, block_rows):
+        # the matrix path against the (N+1)^2 columns n, n_prime, rho that the command built before
+        for flags in (["--beta", "1"], ["--beta", "1", "--normalized"], ["--beta", "0"]):
+            args = parse_config(["density-matrix", "--N", str(N), "--natural", "--output", output, *flags])
+            table = build_table(args)
+            assert type(table) is SiteMatrix and table.matrix.shape == (N + 1, N + 1)
+            assert _emitted(args, table, block_rows) == _emitted(args, _site_columns(table), block_rows)
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_site_matrix_of_awkward_cells_keeps_the_bytes(self, output):
+        args = parse_config(["density-matrix", "--N", "2", "--beta", "1", "--natural", "--output", output])
+        table = SiteMatrix("value", np.array(AWKWARD_TABLE["value"][:9]).reshape(3, 3))
+        assert _emitted(args, table, 2) == _expected(args, _site_columns(table))
+
     def test_out_file_holds_the_stdout_bytes_of_a_multi_block_table(self, tmp_path, capsys):
         argv = ["density-matrix", "--N", "100", "--beta", "1", "--natural", "--output", "json"]  # 10,201 rows
         target = tmp_path / "rho.json"
@@ -754,6 +789,19 @@ class TestEmitBlocks:
             tracemalloc.stop()
         assert sink.chars > 1_000_000
         assert peak <= 2 << 20
+
+    def test_density_matrix_table_holds_one_matrix(self):
+        # the columns n and n_prime as (N+1)^2 int64 arrays peaked at 3.86 MB, three times rho
+        args = parse_config(["density-matrix", "--N", "400", "--beta", "1", "--natural"])
+        build_table(args)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            table = build_table(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.matrix.nbytes == 8 * 401 ** 2
+        assert peak <= 1.25 * table.matrix.nbytes
 
     @pytest.mark.parametrize("output, separator", [("csv", b"\n"), ("json", b"], [")], ids=["csv", "json"])
     def test_reader_closing_mid_stream_exits_one_without_traceback(self, output, separator):

@@ -138,6 +138,16 @@ class TestEnergies:
             exact = mpmath.mpf(1e154) ** 2 * mpmath.pi ** 2 / (2 * mpmath.mpf(9.1e-31) * mpmath.mpf(L) ** 2)
             assert energy_continuum(1, L, particle) == pytest.approx(float(exact), rel=2 * np.finfo(float).eps)
 
+    def test_continuum_value_that_overflows_is_named(self):
+        # at N = 24 the lattice E is at most epsilon = 1/(2 a^2) ~ 2.7e307, finite; pi^2 n_E^2 times
+        # hbar^2/(2 m* L^2) ~ 4.6e304 is not from n_E = 20 on
+        L, n_E = 3.286117576999689e-153, np.arange(1, 24)
+        with pytest.raises(OverflowError, match="E_continuum"):
+            energy_continuum(n_E, L, NATURAL)
+        finite = n_E[:19]
+        assert np.array_equal(energy_continuum(finite, L, NATURAL),
+                              NATURAL.energy_scale(L) * math.pi ** 2 * finite * finite)
+
     def test_degeneracy_exact(self):
         for N in (7, 12, 101):
             lat = LatticeSpec(N)
@@ -160,6 +170,21 @@ class TestSpectrumObject:
             spec = build_spectrum(LatticeSpec(N), NATURAL)
             assert len(spec.n_E) == N - 1
             assert spec.e_tilde.shape == (N - 1,)
+
+    def test_energies_are_formed_once_read_only_with_the_same_bits(self):
+        spec = build_spectrum(LatticeSpec(9, 0.3), NATURAL)
+        E = spec.energies
+        assert spec.energies is E and not E.flags.writeable
+        assert np.array_equal(E, spec.epsilon0 * spec.e_tilde)
+        with pytest.raises(ValueError):
+            E[0] = 0.0
+
+    def test_energies_raise_where_the_energy_scale_overflows(self):
+        # the spectrum is built, and the overflow raises at the first read of the energies
+        spec = build_spectrum(LatticeSpec(4, 1e-160), NATURAL)
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="energy scale"):
+                spec.energies
 
     def test_norm_constants(self):
         # the constant is psi(1) / sin(pi n_E / N), and sin(pi n_E / N) = sin(pi (N - n_E) / N)

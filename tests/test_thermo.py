@@ -269,8 +269,9 @@ class TestTheta:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             theta3(0.0)
-        with pytest.raises(ValueError):
-            theta3_poisson(-1.0)
+        for mu in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                theta3_poisson(mu)
 
     def test_partition_theta_matches_sum(self):
         for mu in (0.05, 0.145, 1.0, 5.0):
