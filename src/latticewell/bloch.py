@@ -145,8 +145,9 @@ def density_matrix_continuum(x: float, x_prime: float, beta: float, particle: Pa
     """Free-particle Gaussian kernel sqrt(m*/2 pi beta hbar^2) e^{-m*(x-x')^2/(2 beta hbar^2)}.
 
     That is Z1 e^{-pi (Z1 (x - x'))^2} with Z1 = Z_closed of a unit width, so the kernel
-    shares the closed form's check of beta and its over- and underflow splits; where
-    (Z1 (x - x'))^2 overflows, e^{-inf} = 0 is the kernel's value.
+    shares the closed form's check of beta and its one scaling rule, which leaves Z1
+    finite and nonzero wherever its true value is; where (Z1 (x - x'))^2 overflows,
+    e^{-inf} = 0 is the kernel's value.
     """
     Z = partition_continuum_closed(1.0, particle, beta).Z
     u = Z * (x - x_prime)

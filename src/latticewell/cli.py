@@ -32,7 +32,11 @@ Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 path that cannot be written and a sweep whose values overflow; 3 domain error,
 including a quantity that overflows (beta or T from the other, energy scale,
 E_continuum, width, Z_closed, Z_theta, F, H_mean_continuum, x); 4 numeric error
-(series cap hit).
+(series cap hit).  The unit-bearing quantities (the energy scale, E_continuum,
+mu, Z_closed and sqrt(2/L)) follow one rule: each is formed from its factors'
+significands, with their powers of two applied once at the end, so it
+overflows (exit 3, or Z = 0 for a mu that overflows) or underflows to 0 only
+where its true value does, never because hbar^2 or 2 m* L^2 left the range.
 """
 
 import argparse
@@ -538,7 +542,7 @@ def main(argv=None) -> int:
     except SeriesCapExceeded as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, ArithmeticError) as exc:  # e.g. a^2 or a step underflowing to 0
+    except (ValueError, ArithmeticError) as exc:  # e.g. an energy scale that overflows, or a step underflowing to 0
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BrokenPipeError as exc:

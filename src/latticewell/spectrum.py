@@ -8,6 +8,7 @@ form, and the parabolic continuum spectrum is recovered as N -> infinity at
 fixed width L = N*a.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,12 +43,41 @@ class ParticleSpec:
         return cls(m_star, hbar, k_B)
 
     def energy_scale(self, a: float) -> float:
-        """hbar^2 / (2 m* a^2), the prefactor of every lattice eigenvalue."""
-        den = 2.0 * self.m_star * a * a
-        scale = self.hbar * self.hbar / den if den else math.inf  # den is 0 once 2 m* a^2 underflows
-        if not math.isfinite(scale):
+        """hbar^2 / (2 m* a^2), the prefactor of every lattice eigenvalue.
+
+        It is formed from its factors' significands by _scaled, so it raises
+        OverflowError only where the true value overflows, and is 0 only where it underflows.
+        """
+        (h, eh), (m, em), (s, ea) = math.frexp(self.hbar), math.frexp(self.m_star), math.frexp(a)
+        scale = _scaled(h * h / (2.0 * m * s * s), 2 * eh - em - 2 * ea)
+        if scale == math.inf:
             raise OverflowError(f"the energy scale hbar^2/(2 m* a^2) overflows at a={a!r}, hbar={self.hbar!r}")
         return scale
+
+
+def _scaled(v, E, root=None):
+    """v 2^E with one ldexp, or root sqrt(v 2^E): the one rule by which units enter every scale.
+
+    A unit formula is a product or quotient of positive factors x = m 2^e.  Its
+    caller evaluates the formula on the significands m (math.frexp, 1/2 <= m < 1),
+    in the formula's own association order, so no intermediate leaves the normal
+    range, and passes the exponents' sum E, each e times the power its factor
+    has.  Scaling by a power of two is exact in the normal range: wherever the
+    formula on the factors themselves keeps every intermediate normal, the value
+    has the same bits, and elsewhere it is rounded once from the significands
+    instead of losing digits to an intermediate's under- or overflow.  A root
+    halves an even exponent; an odd one first doubles the significand under the
+    root, and root's own significand multiplies the square root.  A value that
+    overflows comes back as inf, for the caller to name; an array v is scaled by
+    np.ldexp.
+    """
+    if root is not None:  # E // 2 rounds down, so an odd E doubles the significand under the root
+        m, e = math.frexp(root)
+        v, E = m * math.sqrt(v * 2 ** (E % 2)), E // 2 + e
+    try:
+        return (math.ldexp if isinstance(v, float) else np.ldexp)(v, E)
+    except OverflowError:
+        return math.inf
 
 
 def sin_pi_ratio(k, N: int):
@@ -79,15 +109,17 @@ class Spectrum:
     """The complete set of N-1 modes for one lattice and particle.
 
     e_tilde is the read-only array of dimensionless energies over
-    n_E = 1..N-1; energies is epsilon0 times it, read-only, formed on the
-    first read (where an energy scale that overflows raises) and kept.
+    n_E = 1..N-1.  epsilon0, the energy scale, is formed on its first read
+    (where it overflows, that read raises) and kept, so the per-row reads of
+    boltzmann_beta and characteristic_temperature form it once; energies is
+    epsilon0 times e_tilde, read-only, formed on the first read and kept.
     """
 
     lattice: LatticeSpec
     particle: ParticleSpec
     e_tilde: np.ndarray
 
-    @property
+    @functools.cached_property
     def epsilon0(self) -> float:
         return self.particle.energy_scale(self.lattice.a)
 
@@ -95,7 +127,7 @@ class Spectrum:
     def n_E(self) -> np.ndarray:
         return np.arange(1, self.lattice.N)
 
-    @property
+    @property  # not a cached_property: bench/tracer.py wraps this property's fget
     def energies(self) -> np.ndarray:
         E = self.__dict__.get("_energies")
         if E is None:
@@ -116,8 +148,7 @@ class Spectrum:
         """
         if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta!r}")
-        eps0 = self.epsilon0
-        return _BETA_EPS0_CAP / eps0 if beta * eps0 > _BETA_EPS0_CAP else beta
+        return _BETA_EPS0_CAP / self.epsilon0 if beta * self.epsilon0 > _BETA_EPS0_CAP else beta
 
     def mode(self, n_E: int) -> int:
         """n_E as an int, once it is checked to be one of the N-1 modes.
@@ -144,13 +175,15 @@ def energy_discrete(n_E: int, lattice: LatticeSpec, particle: ParticleSpec) -> f
 def energy_continuum(n_E, L: float, particle: ParticleSpec):
     """Parabolic continuum eigenvalue pi^2 n_E^2 times energy_scale(L) = hbar^2 / (2 m* L^2).
 
-    It can overflow where the lattice eigenvalue, at most energy_scale(a), does not.
+    It is formed from its factors' significands by _scaled, and can overflow
+    where the lattice eigenvalue, at most energy_scale(a), does not.
     """
     n_E = np.asarray(n_E)
     if np.any(n_E < 1):
         raise ValueError(f"n_E must be >= 1, got {n_E}")
+    (h, eh), (m, em), (w, eL) = math.frexp(particle.hbar), math.frexp(particle.m_star), math.frexp(L)
     with np.errstate(over="ignore"):
-        E = particle.energy_scale(L) * math.pi ** 2 * n_E * n_E
+        E = _scaled(h * h / (2.0 * m * w * w) * math.pi ** 2 * n_E * n_E, 2 * eh - em - 2 * eL)
     if not np.isfinite(E).all():
         raise OverflowError(f"E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflows at L={L!r}")
     return E
@@ -167,16 +200,14 @@ def eigenfunction(n_E: int, lattice: LatticeSpec) -> LatticeFunction:
     """Mode n_E on sites 0..N: sqrt(2/L) sin(pi n_E n / N), or 1/sqrt(L) times the sine for n_E = N/2.
 
     Under the odd-site quadrature the square of the n_E = N/2 mode (N
-    even) integrates to a*N instead of a*N/2, hence its constant.
+    even) integrates to a*N instead of a*N/2, hence its constant.  sqrt(2/L)
+    is formed by _scaled, so it is finite for every L, also where 2/L overflows.
     """
     N, L = lattice.N, lattice.L
     if not 1 <= n_E <= N - 1:
         raise ValueError(f"n_E={n_E} outside [1, {N - 1}]")
-    if 2 * n_E == N:
-        norm = 1.0 / math.sqrt(L)
-    else:
-        r = 2.0 / L  # split the root only where 2/L overflows: sqrt(2/L) is the more accurate
-        norm = math.sqrt(r) if math.isfinite(r) else math.sqrt(2.0) / math.sqrt(L)
+    w, eL = math.frexp(L)
+    norm = 1.0 / math.sqrt(L) if 2 * n_E == N else _scaled(2.0 / w, -eL, root=1.0)
     return LatticeFunction(norm * sin_pi_ratio(n_E * np.arange(N + 1), N))
 
 

@@ -12,12 +12,11 @@ energies and the two-level (Schottky) heat capacity derive from these.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ParticleSpec, Spectrum
+from .spectrum import ParticleSpec, Spectrum, _scaled
 
 #: Relative size at which a series term stops the summation.
 SERIES_RTOL = 1e-16
@@ -56,20 +55,18 @@ class PartitionResult:
 def theta_argument(L: float, particle: ParticleSpec, beta: float) -> float:
     """mu = beta hbar^2 pi^2 / (2 m* L^2), the dimensionless theta argument.
 
-    Every continuum route computes mu first, so this is the one check of
-    their arguments: beta > 0 and L > 0 (NaN fails both).  A 2 m* L^2 that
-    underflows to 0 raises OverflowError; a mu = inf from a large beta or hbar is Z = 0
-    (hbar hbar, not libm's pow, which raises where the square overflows).  Where
-    beta hbar hbar and 2 m* L^2 both overflow, so that their quotient would be NaN,
-    mu is beta (pi^2/2) u u with u = hbar/L/sqrt(m*).
+    The continuum sum and the theta form compute mu first, so this is the one
+    check of their arguments: beta > 0 and L > 0 (NaN fails both).  mu is
+    formed from its factors' significands by spectrum._scaled, so it is inf only
+    where its true value overflows, which is Z = 0, and 0 only where it
+    underflows; an intermediate such as hbar hbar or 2 m* L^2 that leaves the
+    normal range changes neither.
     """
     if not (beta > 0 and L > 0):
         raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
-    den = 2.0 * particle.m_star * L * L
-    if not den:
-        raise OverflowError(f"the theta argument mu = beta hbar^2 pi^2/(2 m* L^2) overflows at L={L!r}")
-    mu = beta * (particle.hbar * particle.hbar) * math.pi ** 2 / den
-    return mu if mu == mu else beta * (math.pi ** 2 / 2.0) * (u := particle.hbar / L / math.sqrt(particle.m_star)) * u
+    (b, eb), (h, eh) = math.frexp(beta), math.frexp(particle.hbar)
+    (m, em), (w, eL) = math.frexp(particle.m_star), math.frexp(L)
+    return _scaled(b * (h * h) * math.pi ** 2 / (2.0 * m * w * w), eb + 2 * eh - em - 2 * eL)
 
 
 def _gaussian_series(c: float) -> float:
@@ -137,20 +134,16 @@ def partition_continuum_sum(L: float, particle: ParticleSpec, beta: float) -> Pa
 
 
 def partition_continuum_closed(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu)."""
-    theta_argument(L, particle, beta)  # the one check of beta and L
-    d = 2.0 * math.pi * beta * (particle.hbar * particle.hbar)
-    r = particle.m_star / d if d else 0.0
-    # split the root where d underflows to 0 or overflows, or m*/d under- or overflows, so that Z stays representable
-    # (a normal r keeps L sqrt(r)); dividing by sqrt(beta) and hbar in turn, a product of the two cannot underflow
-    # to 0, and where m*/(2 pi) is subnormal, sqrt(m*) on its own keeps the digits that quotient would round away
-    if not sys.float_info.min <= r < math.inf:
-        q = particle.m_star / (2.0 * math.pi)
-        root = math.sqrt(q) if q >= sys.float_info.min else math.sqrt(particle.m_star) / math.sqrt(2.0 * math.pi)
-        Z = L * root / math.sqrt(beta) / particle.hbar
-    else:
-        Z = L * math.sqrt(r)
-    if not math.isfinite(Z):
+    """Closed Gaussian-integral form L sqrt(m*/2 pi beta hbar^2) = (1/2) sqrt(pi/mu).
+
+    It is formed from its factors' significands by spectrum._scaled, so it raises
+    OverflowError only where the true Z overflows, and is 0 only where it underflows.
+    """
+    if not (beta > 0 and L > 0):
+        raise ValueError(f"the continuum needs beta > 0 and L > 0, got beta={beta!r}, L={L!r}")
+    (m, em), (b, eb), (h, eh) = math.frexp(particle.m_star), math.frexp(beta), math.frexp(particle.hbar)
+    Z = _scaled(m / (2.0 * math.pi * b * (h * h)), em - eb - 2 * eh, root=L)
+    if Z == math.inf:
         raise OverflowError(f"Z_closed overflows at L={L!r}, beta={beta!r}")
     return PartitionResult(Z, beta)
 
@@ -180,7 +173,7 @@ def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionR
     mu = theta_argument(L, particle, beta)
     if mu >= 1.0:
         return PartitionResult(_gaussian_series(mu), beta)
-    if not mu or math.isinf(math.pi / mu):  # 2 m* L^2 overflowed, or mu is subnormal
+    if not mu or math.isinf(math.pi / mu):  # mu is subnormal, or underflows to 0
         raise OverflowError(f"Z_theta overflows at L={L!r}, beta={beta!r}")
     return PartitionResult(0.5 * (theta3_poisson(mu) - 1.0), beta)
 

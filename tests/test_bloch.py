@@ -254,6 +254,13 @@ class TestPropagation:
         r2 = propagate_bloch(lat2, NATURAL, beta2, 800)
         assert np.max(np.abs(r2.rho - 0.5 * r1.rho)) < 1e-14
 
+    @pytest.mark.parametrize("beta, steps", [(1.3, 1000), (5.0, 2500)])
+    def test_default_steps_are_max_1000_and_1000_f(self, beta, steps):
+        # epsilon0 = 1/2 at a = 1, so f = beta epsilon0 is 0.65 and 2.5: the default is
+        # max(1000, ceil(1000 f)) steps, and the run is that explicit run bit for bit
+        lat = LatticeSpec(9)
+        assert np.array_equal(propagate_bloch(lat, NATURAL, beta).rho, propagate_bloch(lat, NATURAL, beta, steps).rho)
+
     @pytest.mark.parametrize("steps", [1, 2, 64, 1000, 2000, 5000])
     @pytest.mark.parametrize("N", [9, 11, 21])
     def test_powering_matches_stage_loop(self, N, steps):

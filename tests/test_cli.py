@@ -297,7 +297,7 @@ class TestExitStatuses:
 
     @pytest.mark.parametrize("argv, quantity", [
         (["spectrum", "--N", "5", "--a", "1e-170"], "energy scale"),
-        (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], "theta argument"),
+        (["partition", "--N", "6", "--L", "1e-170", "--beta", "1"], "energy scale"),
         (["mean-energy", "--N", "6", "--beta", "1e-320"], None),
         (["converge", "--L", "1e-170", "--sweep", "10:20:2:linear"], "energy scale"),
         (["partition", "--N", "6", "--natural", "--T", "1e-320"], "1/(k_B *"),
@@ -305,34 +305,46 @@ class TestExitStatuses:
         (["density-matrix", "--N", "4", "--natural", "--T", "1e-320"], "1/(k_B *"),
         (["heat-capacity", "--N", "5", "--L", "5", "--beta", "2", "--SI", "--hbar", "1e160"], "energy scale"),
         (["mean-energy", "--N", "3", "--L", "1e-160", "--beta", "1e-160"], "energy scale"),
-        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], "energy scale"),
         (["mean-energy", "--N", "2", "--L", "1.7e308", "--beta", "1e-12", "--natural"], None),
         (["wavefunction", "--N", "2", "--a", "1.7e308"], None),
         (["heat-capacity", "--N", "64", "--T", "1e-320", "--natural"], None),
         (["heat-capacity", "--N", "8", "--SI", "--k-B", "1e160", "--beta", "1.7e308"], "1/(k_B *"),
         (["density-matrix", "--N", "5", "--a", "1e-170", "--beta", "1"], "energy scale"),
         (["heat-capacity", "--N", "6", "--a", "1e-170", "--T", "1"], "energy scale"),
-        (["partition", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
-        (["mean-energy", "--L", "1e-170", "--beta", "1", "--natural"], "theta argument"),
         (["partition", "--N", "8", "--a", "1.7e-50", "--SI", "--T", "1e-320"], "1/(k_B *"),
         (["heat-capacity", "--N", "9", "--SI", "--beta", "3e-320"], "1/(k_B *"),
     ], ids=["a-squared", "theta-argument", "mean-energy-step", "converge-L",
             "beta-from-T", "T-from-beta", "density-beta-from-T",
-            "energy-scale-hbar", "energy-scale-a", "density-energy-scale", "Z-closed",
+            "energy-scale-hbar", "energy-scale-a", "Z-closed",
             "width", "x-column", "T-underflow", "density-a-squared", "heat-capacity-a-squared",
-            "theta-argument-continuum", "theta-argument-mean-energy", "k-B-T-underflow", "k-B-beta-underflow"])
+            "k-B-T-underflow", "k-B-beta-underflow"])
     def test_arithmetic_underflow_is_domain_error(self, argv, quantity, capsys):
-        # a^2, L^2 or the finite-difference step underflows to 0 and is divided
-        # by, 1/(k_B x) turning T into beta or beta into T leaves (0, inf), or
-        # the energy scale, N*a, Z_closed or x = Theta/T overflows; the energy
-        # scale names itself, whether a^2 underflows or hbar^2 overflows, the
-        # theta argument names itself when 2 m* L^2 underflows, and 1/(k_B x)
-        # names itself, also where k_B x underflows to 0
+        # the energy scale, N*a, Z_closed or x = Theta/T overflows, the
+        # finite-difference step underflows to 0, or 1/(k_B x) turning T into
+        # beta or beta into T leaves (0, inf); the energy scale names itself
+        # where its true value overflows (a small a, or a large hbar), and
+        # 1/(k_B x) names itself, also where k_B x underflows to 0
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "domain error" in err and "Traceback" not in err
-        named = [q for q in ("energy scale", "theta argument", "1/(k_B *") if q in err]
+        named = [q for q in ("energy scale", "1/(k_B *") if q in err]
         assert named == ([quantity] if quantity else [])
+
+    @pytest.mark.parametrize("argv, row", [
+        (["spectrum", "--N", "4", "--a", "1", "--SI", "--m-star", "5e-324", "--hbar", "1e-200"],
+         "1,0.49999999999999989,5.0600563326827641e-78,6.2425942813507365e-78,0.18943053086129791"),
+        (["partition", "--L", "1e-170", "--beta", "1", "--natural"],
+         "1,nan,0,3.9894228040143269e-171,0,392.35840434219244"),
+        (["mean-energy", "--L", "1e-170", "--beta", "1", "--natural"], "1,nan,0.50000000186400939"),
+    ], ids=["spectrum-hbar-squared-underflow", "theta-argument-continuum", "theta-argument-mean-energy"])
+    def test_scaled_units_print_the_true_value(self, argv, row, capsys):
+        # hbar hbar ~ 1e-400 underflowed to 0 and printed E = 0, where the true E ~ 5.06e-78
+        # (40 digits: 5.0600563326827653e-78 at e_tilde = 1/2); 2 m* L^2 ~ 2e-340 underflowed
+        # and raised, where Z_closed = L/sqrt(2 pi) is representable and mu = inf is the
+        # documented Z = 0 of the sum and theta; both now come from the factors' significands
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[1] == row
 
     def test_underflowed_partition_prints_zero(self, capsys):
         # Z underflows at beta = 1e5; F comes from the closed form, which does not
@@ -409,7 +421,8 @@ class TestExitStatuses:
         (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
         (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
         (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
-        (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4, "sum of exp(-0 n^2)"),
+        (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4,
+         "sum of exp(-3.38929e-321 n^2)"),
         (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
         (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta overflows"),
         (["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
@@ -424,26 +437,29 @@ class TestExitStatuses:
         (["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
         (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
         (["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"], 3, "E_continuum = pi^2 n_E^2"),
+        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], 0, None),
     ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
             "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
             "free-energy-overflow", "mean-energy-step-underflow",
             "partition-hbar-squared-overflow", "mean-energy-hbar-squared-overflow",
             "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow",
-            "partition-both-squares-overflow", "mean-energy-both-squares-overflow", "spectrum-continuum-overflow"])
+            "partition-both-squares-overflow", "mean-energy-both-squares-overflow", "spectrum-continuum-overflow",
+            "density-energy-scale"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
         # (the constant, 2.45e153, is representable), Z_closed ~ 1.5e-13 as
         # m*/(2 pi beta hbar^2) underflowed to 0 and its log failed, and Z_closed ~ 1.5e160
-        # as 2 pi beta hbar^2 underflowed to 0 and was divided by; there mu underflows too,
-        # so the continuum sum of ones hits the series cap; F = -ln Z/beta overflows at
+        # as 2 pi beta hbar^2 underflowed to 0 and was divided by; there the true mu ~ 3.39e-321
+        # is subnormal, so the continuum sum hits the series cap; F = -ln Z/beta overflows at
         # beta ~ 1e-308, and the step h = 1e-4 beta of H_mean_continuum underflows to 0;
         # hbar ** 2 raised libm's "Numerical result out of range" past hbar ~ 1.34e154,
         # m*/(2 pi) rounded a subnormal m* to 0, and ln of a Z_closed ~ 4e-331 that
         # underflows to 0 failed as a bare "math domain error"; where hbar hbar and 2 m* L^2 both
-        # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap; and
-        # E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflowed where the lattice E did not
+        # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap;
+        # E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflowed where the lattice E did not; and
+        # hbar hbar = 1e320 overflowed and named the energy scale, where epsilon0 ~ 3.5e-49
         assert main(argv) == code
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewell import (
     DensityMatrix,
@@ -147,6 +149,41 @@ class TestEnergies:
         finite = n_E[:19]
         assert np.array_equal(energy_continuum(finite, L, NATURAL),
                               NATURAL.energy_scale(L) * math.pi ** 2 * finite * finite)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_energies_are_covariant_and_epsilon0_near_mpmath(self, data):
+        # (a, hbar) -> (2^k a, 2^k hbar) leaves epsilon0, every lattice E and every E_continuum
+        # bit for bit; epsilon0 = hbar hbar/(2 m* a a), 4 roundings of significands, is within
+        # 2 eps of its 40-digit value wherever that is a normal float, and raises where it overflows
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except OverflowError:
+                return OverflowError
+
+        def same(x, y):
+            return np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
+
+        power = lambda lo, hi: st.floats(lo, hi).map(lambda u: 10.0 ** u)
+        N, a = data.draw(st.integers(2, 64)), data.draw(power(-150, 150))
+        particle = ParticleSpec.si(m_star=data.draw(power(-300, 300)), hbar=data.draw(power(-200, 200)))
+        ea, eh = math.frexp(a)[1], math.frexp(particle.hbar)[1]  # normal floats have exponents -1021..1024
+        k = data.draw(st.integers(max(-200, -1021 - ea, -1021 - eh), min(200, 1024 - ea, 1024 - eh)))
+        scaled = ParticleSpec.si(m_star=particle.m_star, hbar=math.ldexp(particle.hbar, k))
+        lat, lat2 = LatticeSpec(N, a), LatticeSpec(N, math.ldexp(a, k))
+        eps0 = outcome(particle.energy_scale, a)
+        assert same(eps0, outcome(scaled.energy_scale, lat2.a))
+        assert same(outcome(lambda: build_spectrum(lat, particle).energies),
+                    outcome(lambda: build_spectrum(lat2, scaled).energies))
+        n_E = np.arange(1, N)
+        assert same(outcome(energy_continuum, n_E, lat.L, particle), outcome(energy_continuum, n_E, lat2.L, scaled))
+        with mpmath.workdps(40):
+            exact = float(mpmath.mpf(particle.hbar) ** 2 / (2 * mpmath.mpf(particle.m_star) * mpmath.mpf(a) ** 2))
+        if exact == math.inf:
+            assert eps0 is OverflowError
+        elif exact >= np.finfo(float).tiny:
+            assert abs(eps0 - exact) <= 2 * np.finfo(float).eps * exact
 
     def test_degeneracy_exact(self):
         for N in (7, 12, 101):

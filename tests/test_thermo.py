@@ -156,7 +156,7 @@ class TestPartitionContinuum:
         with mpmath.workdps(40):
             exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * beta * mpmath.mpf(particle.hbar) ** 2))
         assert partition_continuum_closed(L, particle, beta).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
-        # sqrt(beta) hbar ~ 1e-450 underflows too: Z ~ 1e434 overflows, and says so
+        # at hbar = beta = 1e-300 the true Z ~ 1e434 overflows, and says so
         with pytest.raises(OverflowError, match="Z_closed overflows"):
             partition_continuum_closed(L, ParticleSpec.si(hbar=1e-300), 1e-300)
 
@@ -188,8 +188,8 @@ class TestPartitionContinuum:
         assert partition_continuum_sum(L, particle, 1.0).Z == pytest.approx(float(exact), rel=4 * EPS, abs=0)
 
     def test_split_root_of_a_normal_quotient_keeps_its_root(self):
-        # r = m*/(2 pi beta hbar^2) underflows but m*/(2 pi) is normal: the split root keeps
-        # sqrt(m*/(2 pi)), bit for bit, and takes sqrt(m*) on its own only where that quotient is subnormal
+        # r = m*/(2 pi beta hbar^2) underflows but m*/(2 pi) is normal: Z is, bit for bit, the
+        # root of that quotient divided by sqrt(beta) and hbar in turn
         L, particle, beta = 4e150, ParticleSpec.si(hbar=1e154), 1e-12
         expected = L * math.sqrt(particle.m_star / (2.0 * math.pi)) / math.sqrt(beta) / particle.hbar
         assert partition_continuum_closed(L, particle, beta).Z == expected
@@ -200,8 +200,8 @@ class TestPartitionContinuum:
         (1e150, ParticleSpec.si(m_star=1e-320, hbar=1.0)),
     ], ids=["hbar-squared-overflows", "m-star-5e-324", "m-star-1e-320"])
     def test_closed_form_of_a_split_root_against_mpmath(self, L, particle):
-        # the split root L sqrt(m*/(2 pi))/sqrt(beta)/hbar: hbar hbar = inf takes it, and a subnormal
-        # m* takes sqrt(m*)/sqrt(2 pi) there (m*/(2 pi) rounded 5e-324 to 0, and 1e-320 by 2e-4)
+        # hbar hbar = inf, or a subnormal m* that m*/(2 pi) rounded to 0 (5e-324) or by 2e-4 (1e-320):
+        # Z comes from the factors' significands, and keeps every digit
         with mpmath.workdps(40):
             exact = L * mpmath.sqrt(mpmath.mpf(particle.m_star) / (2 * mpmath.pi * mpmath.mpf(particle.hbar) ** 2))
         assert partition_continuum_closed(L, particle, 1.0).Z == pytest.approx(float(exact), rel=2 * EPS, abs=0)
@@ -237,6 +237,52 @@ class TestPartitionContinuum:
         # mu ~ 1e-11 needs ~2.5e6 terms, beyond the 1e6 cap
         with pytest.raises(SeriesCapExceeded):
             partition_continuum_sum(1.0, NATURAL, beta_for_mu(1e-11))
+
+
+def _outcome(fn, *args):
+    """fn(*args), as Z where it is a PartitionResult, or the type of the error it raised."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, SeriesCapExceeded) as exc:
+        return type(exc)
+    return getattr(value, "Z", value)
+
+
+def _assert_near_exact(value, exact, eps, overflow):
+    """value is within eps * EPS of a 40-digit exact value that is a normal float, and overflow where it overflows."""
+    x = float(exact)
+    if x == math.inf:
+        assert value == overflow, value
+    elif x >= np.finfo(float).tiny:
+        assert isinstance(value, float) and abs(value - x) <= eps * EPS * x, (value, x)
+
+
+class TestPowerOfTwoScaling:
+    """Units enter once, as significands with their powers of two kept aside."""
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_mu_and_every_Z_are_covariant_and_near_mpmath(self, data):
+        # (L, beta) -> (2^k L, 4^k beta) leaves mu and each continuum Z bit for bit, and
+        # mu and Z_closed lie near their 40-digit values wherever those are normal floats,
+        # inf and OverflowError where they overflow: no intermediate's under- or overflow
+        # shows.  Z_closed is 5 roundings and pi's under a root, then a root and a product:
+        # within 2 eps.  mu keeps the golden association order beta (hbar hbar) pi^2/(2 m* L L),
+        # 7 roundings with pi^2's: within 4 eps (2.31 eps at worst over 15,680 normal mu).
+        power = lambda lo, hi: st.floats(lo, hi).map(lambda u: 10.0 ** u)
+        L, beta = data.draw(power(-150, 150)), data.draw(power(-300, 300))
+        particle = ParticleSpec.si(m_star=data.draw(power(-300, 300)), hbar=data.draw(power(-200, 200)))
+        eL, eb = math.frexp(L)[1], math.frexp(beta)[1]  # normal floats have exponents -1021..1024
+        k = data.draw(st.integers(max(-200, -1021 - eL, -((1021 + eb) // 2)), min(200, 1024 - eL, (1024 - eb) // 2)))
+        L2, beta2 = math.ldexp(L, k), math.ldexp(beta, 2 * k)
+        for fn in (theta_argument, partition_continuum_closed, partition_continuum_sum, partition_theta):
+            assert _outcome(fn, L, particle, beta) == _outcome(fn, L2, particle, beta2), (fn.__name__, k)
+        with mpmath.workdps(40):
+            b, h, m, w = map(mpmath.mpf, (beta, particle.hbar, particle.m_star, L))
+            _assert_near_exact(theta_argument(L, particle, beta), b * h * h * mpmath.pi ** 2 / (2 * m * w * w),
+                               4, math.inf)
+            _assert_near_exact(_outcome(partition_continuum_closed, L, particle, beta),
+                               w * mpmath.sqrt(m / (2 * mpmath.pi * b * h * h)), 2, OverflowError)
 
 
 class TestTheta:
@@ -324,11 +370,18 @@ class TestTheta:
         zc = partition_continuum_closed(1.0, NATURAL, beta).Z
         assert abs(zt - (zc - 0.5)) <= 4 * EPS * zt
 
-    @pytest.mark.parametrize("L, beta", [(1.0, 1e-310), (1e154, 1.0)])
+    @pytest.mark.parametrize("L, beta", [(1.0, 1e-310)])
     def test_partition_theta_overflow(self, L, beta):
-        # pi/mu overflows at a subnormal mu; 2 m* L^2 overflows to mu = 0
+        # pi/mu overflows at a subnormal mu
         with pytest.raises(OverflowError, match="Z_theta"):
             partition_theta(L, NATURAL, beta)
+
+    def test_partition_theta_where_two_m_star_L_squared_overflows(self):
+        # 2 m* L^2 = 2e308 overflowed to mu = 0 and raised; mu ~ 4.9e-308 is normal, and
+        # Z_theta = (sqrt(pi/mu) - 1)/2 ~ 4e153 is Z_closed - 1/2
+        L = 1e154
+        zt = partition_theta(L, NATURAL, 1.0).Z
+        assert zt == pytest.approx(partition_continuum_closed(L, NATURAL, 1.0).Z, rel=4 * EPS, abs=0)
 
     def test_theta_vs_closed_constant(self):
         # Z_closed - Z_theta -> 1/2 with exponentially small corrections
@@ -365,6 +418,15 @@ class TestGaussianSeries:
         for fn in (_gaussian_series, _gaussian_series_reference):
             with pytest.raises(SeriesCapExceeded):
                 fn(outside)
+
+    def test_stop_at_exactly_the_cap_returns(self):
+        # at this c the stop n* = ceil(sqrt(x/c)) is SERIES_CAP itself, so the sum runs (n* >= SERIES_CAP
+        # would raise), and one float below it n* is SERIES_CAP + 1; the sum falls short of the Jacobi
+        # value (sqrt(pi/c) - 1)/2 by its tail, ~SERIES_RTOL/(2 c n*) ~ 2e-12 of itself
+        c = 2.4751070341549482e-11
+        assert _gaussian_series(c) == pytest.approx(0.5 * (math.sqrt(math.pi / c) - 1.0), rel=1e-11)
+        with pytest.raises(SeriesCapExceeded):
+            _gaussian_series(float(np.nextafter(c, 0.0)))
 
     @pytest.fixture
     def exp_calls(self, monkeypatch):
