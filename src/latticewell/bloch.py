@@ -80,11 +80,15 @@ def density_matrix_dense(spectrum: Spectrum, beta: float) -> DensityMatrix:
     return DensityMatrix((2.0 / lattice.L) * (A.T @ A), lattice)
 
 
-def density_matrix_normalized(dm: DensityMatrix, Z: float) -> DensityMatrix:
-    """Divide by the partition function so the trace integral is unity (odd N)."""
+def density_matrix_normalized(dm: DensityMatrix, Z: float, out: np.ndarray | None = None) -> DensityMatrix:
+    """Divide by the partition function so the trace integral is unity (odd N).
+
+    The result is a new matrix, or ``out``: ``out=dm.rho`` divides in place, with
+    the bits of rho / Z, for a caller that no longer needs dm's own values.
+    """
     if Z <= 0:
         raise ValueError(f"partition function must be positive, got {Z!r}")
-    return DensityMatrix(dm.rho / Z, dm.lattice)
+    return DensityMatrix(np.divide(dm.rho, Z, out=out), dm.lattice)
 
 
 def trace_integral(dm: DensityMatrix) -> float:

@@ -15,8 +15,11 @@ m_star, hbar and k_B the run used.  Either format streams its rows in blocks of
 ``EMIT_BLOCK_ROWS``, so writing a table takes memory for one block, not for the
 table; JSON writes ``rows`` before ``meta``.  The density matrix is built as its
 (N+1) x (N+1) matrix, not as (N+1)^2 rows of three columns, and its rows
-(n, n_prime, rho) are written one matrix row per block, from one row template
-that already holds every n_prime.
+(n, n_prime, rho) are written one matrix row per write, from one row template
+that already holds every n_prime.  Its cells repeat (at N = 400, beta = 1,
+397 bit patterns among 160,801 cells), so each distinct cell is formatted once
+and its text reused from a cache bounded by ``EMIT_BLOCK_ROWS`` texts; a matrix
+with more distinct cells than that writes its remaining rows inline.
 
 A ``--config`` file holds ``key = value`` lines (``#`` starts a comment).
 Keys are the subcommand's long flag names without the dashes, with ``_`` and
@@ -31,7 +34,7 @@ Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read, an --out
 path that cannot be written and a sweep whose values overflow; 3 domain error,
 including a quantity that overflows (beta or T from the other, energy scale,
-E_continuum, width, Z_closed, Z_theta, F, H_mean_continuum, x); 4 numeric error
+E_continuum, width, Z_closed, F, H_mean_continuum, x); 4 numeric error
 (series cap hit).  The unit-bearing quantities (the energy scale, E_continuum,
 mu, Z_closed and sqrt(2/L)) follow one rule: each is formed from its factors'
 significands, with their powers of two applied once at the end, so it
@@ -84,7 +87,8 @@ EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
 #: Rows of a column table formatted per write in either format, which bounds the
-#: emitter's memory (a density matrix goes one matrix row per write instead).
+#: emitter's memory (a density matrix goes one matrix row per write instead, and
+#: caches the texts of about this many distinct cells).
 #: Emitting the 160,801-row CSV of ``wavefunction --N 160800`` took a best 123 ms
 #: at 4,096 rows (9 interleaved runs on a shared 2-core host), against 126 ms at
 #: 1,024 and 8,192 rows and 140 ms at 65,536, and peaked at 0.9 MB under
@@ -357,7 +361,8 @@ def _cmd_density_matrix(args: argparse.Namespace):
         # rho/Z is the same with every energy measured from the ground state,
         # and then neither factor carries exp(-beta E0), which underflows
         spec = Spectrum(lattice, particle, spec.e_tilde - spec.e_tilde[0])
-        dm = density_matrix_normalized(density_matrix_spectral(spec, beta), partition_discrete(spec, beta).Z)
+        dm = density_matrix_spectral(spec, beta)
+        dm = density_matrix_normalized(dm, partition_discrete(spec, beta).Z, out=dm.rho)  # rho is held once
     else:
         dm = density_matrix_spectral(spec, beta)
     return SiteMatrix("rho", dm.rho)
@@ -470,6 +475,11 @@ def _json_cells(block: np.ndarray) -> list:
     return [v if math.isfinite(v) else "null" for v in cells]
 
 
+def _cell_texts(cell: str, values: list) -> list[str]:
+    """Each value as the text that ``cell`` (``%.17g`` or ``%s``) gives it in a row template."""
+    return [cell % v for v in values]
+
+
 def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document (nan/inf as null).
 
@@ -477,8 +487,18 @@ def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     of a row template per block, so the emitter's memory is O(block), not O(table).
     A ``SiteMatrix`` is written one matrix row per write instead, from one
     template of a whole matrix row built once, with each n_prime in it as text:
-    each row's n goes in as one ``str`` and only its N+1 cells are formatted, so
+    each row's n goes in as one ``str`` and only its N+1 cells go in per row, so
     the template and each write hold O(N) cells and no int is formatted per cell.
+    Its cells repeat, so each cell's text comes from a cache keyed by its float64
+    bits (+0.0 and -0.0, or two NaN payloads, stay apart), and the template takes
+    every cell as ``%s``.  The bits are read in blocks of EMIT_BLOCK_ROWS // (N+1)
+    rows (at least one), and a pattern new to the cache is formatted once by the
+    CSV or JSON rule (``_cell_texts``).  Once the cache holds more than
+    EMIT_BLOCK_ROWS texts (so at most that plus one block's cells), it is dropped
+    and the template formats the rest of the matrix inline (``%.17g`` in CSV):
+    a matrix with that many distinct cells gains little from the cache.  A
+    matrix of at most EMIT_BLOCK_ROWS cells is formatted inline throughout: it
+    is one block, and the cache's few NumPy calls cost more than it saves there.
     JSON's ``rows`` come before ``meta``, so the document is written as a head
     (``config`` and ``columns``), the row blocks joined by ", ", and a tail (``meta``),
     byte for byte the ``json.dumps`` of the whole document.
@@ -489,13 +509,13 @@ def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     if args.output == "csv":
         stream.write(",".join(names) + "\n")
         row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-        site_row, joint, cells_of = "%s,{},%.17g\n", "", np.ndarray.tolist
+        site_row, cell, joint, cells_of = "%s,{},{}\n", "%.17g", "", np.ndarray.tolist
     else:
         head = json.dumps({"config": vars(args), "columns": names},
                           default=lambda sweep: sweep.text, allow_nan=False)
         stream.write(head[:-1] + ', "rows": [')  # the head without its closing brace
         row = "[" + ", ".join(["%s"] * len(columns)) + "]"
-        site_row, joint, cells_of = "[%s, {}, %s]", ", ", _json_cells
+        site_row, cell, joint, cells_of = "[%s, {}, {}]", "%s", ", ", _json_cells
     lead = ""
     if matrix is None:
         for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
@@ -504,12 +524,29 @@ def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
             stream.write(template % tuple(itertools.chain.from_iterable(zip(*cells))))
             lead = joint
     else:
-        template = joint.join([site_row.format(n_prime) for n_prime in range(len(matrix))])
-        for n, values in enumerate(matrix):
-            cells = [str(n), None] * len(matrix)
-            cells[1::2] = cells_of(values)
-            stream.write(lead + template % tuple(cells))
-            lead = joint
+        size = len(matrix)
+        step = max(1, EMIT_BLOCK_ROWS // size)
+        texts = {} if matrix.size > EMIT_BLOCK_ROWS else None  # a cell's text by its float64 bits
+        template = joint.join([site_row.format(n_prime, cell if texts is None else "%s") for n_prime in range(size)])
+        for start in range(0, size, step):
+            block = matrix[start:start + step]
+            if texts is not None and len(texts) > EMIT_BLOCK_ROWS:  # the next block could overflow the cache
+                texts = None
+                template = joint.join([site_row.format(n_prime, cell) for n_prime in range(size)])
+            if texts is None:
+                rows = map(cells_of, block)
+            else:
+                bits = block.view(np.int64).ravel().tolist()
+                new = set(bits).difference(texts)
+                if new:
+                    new = list(new)
+                    texts.update(zip(new, _cell_texts(cell, cells_of(np.array(new).view(np.float64)))))
+                rows = (map(texts.__getitem__, bits[i:i + size]) for i in range(0, len(bits), size))
+            for n, row_cells in enumerate(rows, start):
+                cells = [str(n), None] * size
+                cells[1::2] = row_cells
+                stream.write(lead + template % tuple(cells))
+                lead = joint
     if args.output == "json":
         meta = {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))}
         stream.write('], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n")

@@ -156,14 +156,20 @@ def theta3(mu: float) -> float:
 
 
 def theta3_poisson(mu: float) -> float:
-    """Poisson-resummed form sqrt(pi/mu) * theta3(pi^2/mu); equals theta3(mu)."""
+    """Poisson-resummed form sqrt(pi/mu) * theta3(pi^2/mu); equals theta3(mu).
+
+    sqrt(pi/mu) is formed from mu's significand by spectrum._scaled, so it is finite
+    at a subnormal mu too, where pi/mu overflows (and theta3(inf) = 1); at a normal
+    mu it has the bits of math.sqrt(math.pi / mu).
+    """
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu!r}")
-    return math.sqrt(math.pi / mu) * theta3(math.pi * math.pi / mu)
+    m, e = math.frexp(mu)
+    return _scaled(math.pi / m, -e, root=1.0) * theta3(math.pi * math.pi / mu)
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Continuum partition function (theta3(mu) - 1) / 2; a Z that overflows raises OverflowError.
+    """Continuum partition function (theta3(mu) - 1) / 2; a mu that underflows to 0 raises OverflowError.
 
     Below mu = 1 it is (theta3_poisson(mu) - 1) / 2, a series in exp(-(pi^2/mu) n^2)
     that shares no term with the continuum sum.  That subtraction loses a factor
@@ -173,8 +179,8 @@ def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionR
     mu = theta_argument(L, particle, beta)
     if mu >= 1.0:
         return PartitionResult(_gaussian_series(mu), beta)
-    if not mu or math.isinf(math.pi / mu):  # mu is subnormal, or underflows to 0
-        raise OverflowError(f"Z_theta overflows at L={L!r}, beta={beta!r}")
+    if not mu:
+        raise OverflowError(f"Z_theta needs mu > 0, but mu underflows to 0 at L={L!r}, beta={beta!r}")
     return PartitionResult(0.5 * (theta3_poisson(mu) - 1.0), beta)
 
 

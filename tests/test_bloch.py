@@ -179,6 +179,12 @@ class TestNormalization:
         tr = trace_integral(density_matrix_normalized(dm, Z))
         assert tr == pytest.approx(1.0 + math.exp(-1.0) / Z, abs=1e-12)
 
+    def test_in_place_has_the_bits_of_the_quotient(self):
+        dm = density_matrix_spectral(spectrum_for(9), 0.7)
+        quotient = dm.rho / 3.7
+        assert density_matrix_normalized(dm, 3.7, out=dm.rho).rho is dm.rho
+        assert np.array_equal(dm.rho.view(np.int64), quotient.view(np.int64))
+
     def test_rejects_nonpositive_z(self):
         dm = density_matrix_spectral(spectrum_for(5), 1.0)
         with pytest.raises(ValueError):

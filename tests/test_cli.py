@@ -742,6 +742,19 @@ AWKWARD_TABLE = {
 }
 
 
+#: Cells that share a value but not their bits (+0.0/-0.0, three NaN bit patterns), with infs and subnormals.
+SAME_VALUE_OTHER_BITS = np.array([0.0, -0.0, math.nan, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                                  -2.5e-310, 0.0, -0.0, math.nan, math.inf, 5e-324, math.nan, -0.0])
+SAME_VALUE_OTHER_BITS[[3, 14]] = np.array([0x7FF8000000000001, -1], np.int64).view(np.float64)
+
+
+def _spy_cell_texts(monkeypatch):
+    """The values that cli._cell_texts formats from now on, in a list that the spy fills."""
+    formatted, real = [], cli._cell_texts
+    monkeypatch.setattr(cli, "_cell_texts", lambda cell, values: formatted.extend(values) or real(cell, values))
+    return formatted
+
+
 class TestEmitBlocks:
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
     @pytest.mark.parametrize("output", ["csv", "json"])
@@ -773,10 +786,38 @@ class TestEmitBlocks:
             assert _emitted(args, table, block_rows) == _emitted(args, _site_columns(table), block_rows)
 
     @pytest.mark.parametrize("output", ["csv", "json"])
-    def test_site_matrix_of_awkward_cells_keeps_the_bytes(self, output):
+    def test_site_matrix_of_awkward_cells_keeps_the_bytes(self, output, monkeypatch):
         args = parse_config(["density-matrix", "--N", "2", "--beta", "1", "--natural", "--output", output])
         table = SiteMatrix("value", np.array(AWKWARD_TABLE["value"][:9]).reshape(3, 3))
         assert _emitted(args, table, 2) == _expected(args, _site_columns(table))
+        # cells equal in value but not in bits, each repeated, through the cache: its 10
+        # patterns are formatted once each, in blocks of two rows and of three
+        table = SiteMatrix("value", SAME_VALUE_OTHER_BITS.reshape(4, 4))
+        for block_rows in (8, 15):
+            formatted = _spy_cell_texts(monkeypatch)
+            assert _emitted(args, table, block_rows) == _expected(args, _site_columns(table))
+            assert len(formatted) == np.unique(table.matrix.view(np.int64)).size == 10
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_site_matrix_that_overflows_the_cache_keeps_the_bytes(self, output, monkeypatch):
+        # 529 distinct cells: the cache of 64 texts (plus a row) fills part-way down, and the
+        # rows after it go through the inline template
+        args = parse_config(["density-matrix", "--N", "65", "--beta", "1e5", "--natural", "--output", output])
+        table = build_table(args)
+        distinct = np.unique(table.matrix.view(np.int64)).size
+        formatted = _spy_cell_texts(monkeypatch)
+        assert _emitted(args, table, 64) == _expected(args, _site_columns(table))
+        assert 64 < len(formatted) < distinct
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_site_matrix_formats_each_distinct_cell_once(self, output, monkeypatch):
+        # 160,801 cells, 397 bit patterns: half the cells are the exact parity zeros, rho is
+        # exactly symmetric and its round-off falls on a few values
+        args = parse_config(["density-matrix", "--N", "400", "--beta", "1", "--natural", "--output", output])
+        table = build_table(args)
+        formatted = _spy_cell_texts(monkeypatch)
+        emit(args, table, _Sink())
+        assert len(formatted) == np.unique(table.matrix.view(np.int64)).size < table.matrix.size // 100
 
     def test_out_file_holds_the_stdout_bytes_of_a_multi_block_table(self, tmp_path, capsys):
         argv = ["density-matrix", "--N", "100", "--beta", "1", "--natural", "--output", "json"]  # 10,201 rows
@@ -791,9 +832,12 @@ class TestEmitBlocks:
     @pytest.mark.parametrize("argv", [
         ["density-matrix", "--N", "256", "--beta", "1", "--natural", "--output", "json"],
         ["density-matrix", "--N", "400", "--beta", "1", "--natural"],
-    ], ids=["json-N256", "csv-N400"])
+        ["density-matrix", "--N", "400", "--beta", "1e5", "--natural", "--output", "json"],
+        ["density-matrix", "--N", "400", "--beta", "1e5", "--natural"],
+    ], ids=["json-N256", "csv-N400", "json-N400-beta1e5", "csv-N400-beta1e5"])
     def test_emit_memory_is_bounded_by_a_block(self, argv):
-        # the whole-table emitters peaked at 10.8 MB (JSON) and 8.3 MB (CSV) here
+        # the whole-table emitters peaked at 10.8 MB (JSON) and 8.3 MB (CSV) here; at
+        # beta = 1e5 rho has 20,101 distinct cells, so the text cache fills and stops
         args = parse_config(argv)
         table = build_table(args)
         sink = _Sink()
@@ -807,17 +851,19 @@ class TestEmitBlocks:
         assert peak <= 2 << 20
 
     def test_density_matrix_table_holds_one_matrix(self):
-        # the columns n and n_prime as (N+1)^2 int64 arrays peaked at 3.86 MB, three times rho
-        args = parse_config(["density-matrix", "--N", "400", "--beta", "1", "--natural"])
-        build_table(args)  # imports and caches outside the measurement
-        tracemalloc.start()
-        try:
-            table = build_table(args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.matrix.nbytes == 8 * 401 ** 2
-        assert peak <= 1.25 * table.matrix.nbytes
+        # the columns n and n_prime as (N+1)^2 int64 arrays peaked at 3.86 MB, three times rho;
+        # --normalized peaked at twice rho while rho / Z was a second matrix
+        for flags in ([], ["--normalized"]):
+            args = parse_config(["density-matrix", "--N", "400", "--beta", "1", "--natural", *flags])
+            build_table(args)  # imports and caches outside the measurement
+            tracemalloc.start()
+            try:
+                table = build_table(args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table.matrix.nbytes == 8 * 401 ** 2
+            assert peak <= 1.25 * table.matrix.nbytes, flags
 
     @pytest.mark.parametrize("output, separator", [("csv", b"\n"), ("json", b"], [")], ids=["csv", "json"])
     def test_reader_closing_mid_stream_exits_one_without_traceback(self, output, separator):

@@ -370,11 +370,19 @@ class TestTheta:
         zc = partition_continuum_closed(1.0, NATURAL, beta).Z
         assert abs(zt - (zc - 0.5)) <= 4 * EPS * zt
 
-    @pytest.mark.parametrize("L, beta", [(1.0, 1e-310)])
+    @pytest.mark.parametrize("L, beta", [(1.0, 1e-310), (1.0, 5e-324)])
     def test_partition_theta_overflow(self, L, beta):
-        # pi/mu overflows at a subnormal mu
-        with pytest.raises(OverflowError, match="Z_theta"):
-            partition_theta(L, NATURAL, beta)
+        # pi/mu overflows at a subnormal mu, but Z_theta ~ (1/2) sqrt(pi/mu) does not: it is
+        # Z_closed - 1/2 up to mu's own rounding (half of 2^-1074, halved again by the root)
+        mu = theta_argument(L, NATURAL, beta)
+        assert 0.0 < mu < np.finfo(float).tiny and math.isinf(math.pi / mu)
+        zt = partition_theta(L, NATURAL, beta).Z
+        zc = partition_continuum_closed(L, NATURAL, beta).Z
+        assert abs(zt - (zc - 0.5)) <= (4 * EPS + 0.25 * (2.0 ** -1074 / mu)) * zt
+
+    def test_partition_theta_raises_where_mu_underflows_to_zero(self):
+        with pytest.raises(OverflowError, match="Z_theta needs mu > 0, but mu underflows to 0"):
+            partition_theta(1e200, NATURAL, 1e-300)
 
     def test_partition_theta_where_two_m_star_L_squared_overflows(self):
         # 2 m* L^2 = 2e308 overflowed to mu = 0 and raised; mu ~ 4.9e-308 is normal, and
@@ -651,6 +659,7 @@ class TestHeatCapacity:
         theta = characteristic_temperature(spec)
         assert heat_capacity_two_level(spec, theta / 0.03) < 1e-3
         assert heat_capacity_two_level(spec, theta / 15.0) < 1e-3
+        # x = 800 lies where math.cosh raises (x > ~710.5), so this pins the guard's place too
         assert heat_capacity_two_level(spec, theta / 800.0) == 0.0
 
     def test_peak_against_bisection_oracle(self):
