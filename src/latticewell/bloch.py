@@ -86,8 +86,8 @@ def density_matrix_normalized(dm: DensityMatrix, Z: float, out: np.ndarray | Non
     The result is a new matrix, or ``out``: ``out=dm.rho`` divides in place, with
     the bits of rho / Z, for a caller that no longer needs dm's own values.
     """
-    if Z <= 0:
-        raise ValueError(f"partition function must be positive, got {Z!r}")
+    if not 0.0 < Z < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"partition function must be positive and finite, got {Z!r}")
     return DensityMatrix(np.divide(dm.rho, Z, out=out), dm.lattice)
 
 

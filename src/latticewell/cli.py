@@ -13,13 +13,14 @@ parsed from flags and config file, null where an option was not given (the
 sweep as its text); ``meta`` holds the package version, the unit mode and the
 m_star, hbar and k_B the run used.  Either format streams its rows in blocks of
 ``EMIT_BLOCK_ROWS``, so writing a table takes memory for one block, not for the
-table; JSON writes ``rows`` before ``meta``.  The density matrix is built as its
-(N+1) x (N+1) matrix, not as (N+1)^2 rows of three columns, and its rows
-(n, n_prime, rho) are written one matrix row per write, from one row template
-that already holds every n_prime.  Its cells repeat (at N = 400, beta = 1,
-397 bit patterns among 160,801 cells), so each distinct cell is formatted once
-and its text reused from a cache bounded by ``EMIT_BLOCK_ROWS`` texts; a matrix
-with more distinct cells than that writes its remaining rows inline.
+table; JSON writes ``rows`` before ``meta``.  The density matrix reaches the
+writer as the library's ``DensityMatrix``, its (N+1) x (N+1) matrix, not as
+(N+1)^2 rows of three columns, and its rows (n, n_prime, rho) are written one
+matrix row per write, from one row template that already holds every n_prime.
+Its cells repeat (at N = 400, beta = 1, 397 bit patterns among 160,801 cells),
+so each distinct cell is formatted once and its text reused from a cache
+bounded by ``EMIT_BLOCK_ROWS`` texts; a matrix with more distinct cells than
+that writes its remaining rows inline.
 
 A ``--config`` file holds ``key = value`` lines (``#`` starts a comment).
 Keys are the subcommand's long flag names without the dashes, with ``_`` and
@@ -54,7 +55,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .bloch import density_matrix_normalized, density_matrix_spectral
+from .bloch import DensityMatrix, density_matrix_normalized, density_matrix_spectral
 from .lattice import LatticeSpec
 from .spectrum import (
     HBAR_SI,
@@ -357,15 +358,13 @@ def _cmd_density_matrix(args: argparse.Namespace):
     particle = _particle(args)
     spec = build_spectrum(lattice, particle)
     beta = _beta_value(args, particle)
-    if args.normalized:
-        # rho/Z is the same with every energy measured from the ground state,
-        # and then neither factor carries exp(-beta E0), which underflows
-        spec = Spectrum(lattice, particle, spec.e_tilde - spec.e_tilde[0])
-        dm = density_matrix_spectral(spec, beta)
-        dm = density_matrix_normalized(dm, partition_discrete(spec, beta).Z, out=dm.rho)  # rho is held once
-    else:
-        dm = density_matrix_spectral(spec, beta)
-    return SiteMatrix("rho", dm.rho)
+    if not args.normalized:
+        return density_matrix_spectral(spec, beta)
+    # rho/Z is the same with every energy measured from the ground state,
+    # and then neither factor carries exp(-beta E0), which underflows
+    spec = Spectrum(lattice, particle, spec.e_tilde - spec.e_tilde[0])
+    dm = density_matrix_spectral(spec, beta)
+    return density_matrix_normalized(dm, partition_discrete(spec, beta).Z, out=dm.rho)  # rho is held once
 
 
 def _discrete_spectrum(args: argparse.Namespace, particle: ParticleSpec):
@@ -446,16 +445,8 @@ _COMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class SiteMatrix:
-    """A table held as its matrix: one row (n, n_prime, name) per site pair, n-major, over the sites 0..N."""
-
-    name: str
-    matrix: np.ndarray
-
-
-def build_table(args: argparse.Namespace) -> dict | SiteMatrix:
-    """The configured table as ordered {column name: values} of equal length, or a density matrix as its matrix."""
+def build_table(args: argparse.Namespace) -> dict | DensityMatrix:
+    """The configured table as ordered {column name: values} of equal length, or the density matrix itself."""
     return _COMMANDS[args.command](args)
 
 
@@ -480,12 +471,12 @@ def _cell_texts(cell: str, values: list) -> list[str]:
     return [cell % v for v in values]
 
 
-def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
+def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
     """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document (nan/inf as null).
 
     Both formats stream the rows in blocks of ``EMIT_BLOCK_ROWS``: one ``%`` format
     of a row template per block, so the emitter's memory is O(block), not O(table).
-    A ``SiteMatrix`` is written one matrix row per write instead, from one
+    A ``DensityMatrix`` is written one matrix row per write instead, from one
     template of a whole matrix row built once, with each n_prime in it as text:
     each row's n goes in as one ``str`` and only its N+1 cells go in per row, so
     the template and each write hold O(N) cells and no int is formatted per cell.
@@ -496,15 +487,13 @@ def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     CSV or JSON rule (``_cell_texts``).  Once the cache holds more than
     EMIT_BLOCK_ROWS texts (so at most that plus one block's cells), it is dropped
     and the template formats the rest of the matrix inline (``%.17g`` in CSV):
-    a matrix with that many distinct cells gains little from the cache.  A
-    matrix of at most EMIT_BLOCK_ROWS cells is formatted inline throughout: it
-    is one block, and the cache's few NumPy calls cost more than it saves there.
+    a matrix with that many distinct cells gains little from the cache.
     JSON's ``rows`` come before ``meta``, so the document is written as a head
     (``config`` and ``columns``), the row blocks joined by ", ", and a tail (``meta``),
     byte for byte the ``json.dumps`` of the whole document.
     """
-    matrix = table.matrix if isinstance(table, SiteMatrix) else None
-    names = list(table) if matrix is None else ["n", "n_prime", table.name]
+    matrix = table.rho if isinstance(table, DensityMatrix) else None
+    names = list(table) if matrix is None else ["n", "n_prime", "rho"]
     columns = [np.asarray(v) for v in table.values()] if matrix is None else []
     if args.output == "csv":
         stream.write(",".join(names) + "\n")
@@ -526,8 +515,8 @@ def emit(args: argparse.Namespace, table: dict | SiteMatrix, stream) -> None:
     else:
         size = len(matrix)
         step = max(1, EMIT_BLOCK_ROWS // size)
-        texts = {} if matrix.size > EMIT_BLOCK_ROWS else None  # a cell's text by its float64 bits
-        template = joint.join([site_row.format(n_prime, cell if texts is None else "%s") for n_prime in range(size)])
+        texts = {}  # a cell's text by its float64 bits
+        template = joint.join([site_row.format(n_prime, "%s") for n_prime in range(size)])
         for start in range(0, size, step):
             block = matrix[start:start + step]
             if texts is not None and len(texts) > EMIT_BLOCK_ROWS:  # the next block could overflow the cache

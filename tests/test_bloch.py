@@ -185,10 +185,12 @@ class TestNormalization:
         assert density_matrix_normalized(dm, 3.7, out=dm.rho).rho is dm.rho
         assert np.array_equal(dm.rho.view(np.int64), quotient.view(np.int64))
 
-    def test_rejects_nonpositive_z(self):
+    @pytest.mark.parametrize("Z", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_z_outside_zero_to_inf(self, Z):
+        # a NaN Z gave an all-NaN matrix and an infinite one an all-zero matrix
         dm = density_matrix_spectral(spectrum_for(5), 1.0)
-        with pytest.raises(ValueError):
-            density_matrix_normalized(dm, 0.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            density_matrix_normalized(dm, Z)
 
 
 class TestTraceIntegral:

@@ -18,10 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewell import ParticleSpec, __version__, cli, partition_continuum_sum
+from latticewell import DensityMatrix, LatticeSpec, ParticleSpec, __version__, cli, partition_continuum_sum
 from latticewell.cli import (
     ConfigError,
-    SiteMatrix,
     SweepSpec,
     _lattice,
     _particle,
@@ -497,6 +496,10 @@ class TestExitStatuses:
             argv += ["--sweep", f"{start!r}:{stop!r}:{points}:{scale}"]
         elif command not in ("spectrum", "wavefunction"):
             argv += [draw(st.sampled_from(["--beta", "--T"])), repr(draw(power))]
+        if command == "density-matrix" and draw(st.booleans()):
+            argv += ["--normalized"]
+        output = draw(st.sampled_from(["csv", "json"]))
+        argv += ["--output", output]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -505,10 +508,15 @@ class TestExitStatuses:
         for bare in ("math domain error", "Numerical result out of range", "float division by zero",
                      "too large to convert"):
             assert bare not in err.getvalue(), (argv, err.getvalue())
-        for row in csv.DictReader(io.StringIO(out.getvalue())):
+        if output == "json" and code == 0:  # JSON writes a non-finite cell as null
+            doc = json.loads(out.getvalue())
+            rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        else:
+            rows = csv.DictReader(io.StringIO(out.getvalue()))
+        for row in rows:
             for column, cell in row.items():
                 if N is not None or "discrete" not in column:
-                    assert cell.lower() not in ("nan", "inf", "-inf"), (argv, column)
+                    assert cell is not None and str(cell).lower() not in ("nan", "inf", "-inf"), (argv, column)
 
 
 class TestOutput:
@@ -713,9 +721,14 @@ def _expected(args, table):
 
 
 def _site_columns(table):
-    """A SiteMatrix as the (N+1)^2 columns n, n_prime and its cells, n-major."""
-    n = np.arange(len(table.matrix))
-    return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), table.name: table.matrix.ravel()}
+    """A DensityMatrix as the (N+1)^2 columns n, n_prime and rho, n-major."""
+    n = np.arange(len(table.rho))
+    return {"n": np.repeat(n, n.size), "n_prime": np.tile(n, n.size), "rho": table.rho.ravel()}
+
+
+def _density_matrix(cells):
+    """Square cells as a DensityMatrix on the lattice of their size, as the emitter receives rho."""
+    return DensityMatrix(cells, LatticeSpec(len(cells) - 1))
 
 
 class _Sink:
@@ -782,21 +795,21 @@ class TestEmitBlocks:
         for flags in (["--beta", "1"], ["--beta", "1", "--normalized"], ["--beta", "0"]):
             args = parse_config(["density-matrix", "--N", str(N), "--natural", "--output", output, *flags])
             table = build_table(args)
-            assert type(table) is SiteMatrix and table.matrix.shape == (N + 1, N + 1)
+            assert type(table) is DensityMatrix and table.rho.shape == (N + 1, N + 1)
             assert _emitted(args, table, block_rows) == _emitted(args, _site_columns(table), block_rows)
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_of_awkward_cells_keeps_the_bytes(self, output, monkeypatch):
         args = parse_config(["density-matrix", "--N", "2", "--beta", "1", "--natural", "--output", output])
-        table = SiteMatrix("value", np.array(AWKWARD_TABLE["value"][:9]).reshape(3, 3))
+        table = _density_matrix(np.array(AWKWARD_TABLE["value"][:9]).reshape(3, 3))
         assert _emitted(args, table, 2) == _expected(args, _site_columns(table))
         # cells equal in value but not in bits, each repeated, through the cache: its 10
         # patterns are formatted once each, in blocks of two rows and of three
-        table = SiteMatrix("value", SAME_VALUE_OTHER_BITS.reshape(4, 4))
+        table = _density_matrix(SAME_VALUE_OTHER_BITS.reshape(4, 4))
         for block_rows in (8, 15):
             formatted = _spy_cell_texts(monkeypatch)
             assert _emitted(args, table, block_rows) == _expected(args, _site_columns(table))
-            assert len(formatted) == np.unique(table.matrix.view(np.int64)).size == 10
+            assert len(formatted) == np.unique(table.rho.view(np.int64)).size == 10
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_that_overflows_the_cache_keeps_the_bytes(self, output, monkeypatch):
@@ -804,20 +817,23 @@ class TestEmitBlocks:
         # rows after it go through the inline template
         args = parse_config(["density-matrix", "--N", "65", "--beta", "1e5", "--natural", "--output", output])
         table = build_table(args)
-        distinct = np.unique(table.matrix.view(np.int64)).size
+        distinct = np.unique(table.rho.view(np.int64)).size
         formatted = _spy_cell_texts(monkeypatch)
         assert _emitted(args, table, 64) == _expected(args, _site_columns(table))
         assert 64 < len(formatted) < distinct
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_formats_each_distinct_cell_once(self, output, monkeypatch):
-        # 160,801 cells, 397 bit patterns: half the cells are the exact parity zeros, rho is
-        # exactly symmetric and its round-off falls on a few values
-        args = parse_config(["density-matrix", "--N", "400", "--beta", "1", "--natural", "--output", output])
-        table = build_table(args)
-        formatted = _spy_cell_texts(monkeypatch)
-        emit(args, table, _Sink())
-        assert len(formatted) == np.unique(table.matrix.view(np.int64)).size < table.matrix.size // 100
+        # every size goes through the cache: at N = 400, 160,801 cells hold 397 bit patterns (half
+        # the cells are the exact parity zeros, rho is exactly symmetric and its round-off falls on
+        # a few values); N = 5 and 63 are one block of rows each
+        for N in (5, 63, 400):
+            args = parse_config(["density-matrix", "--N", str(N), "--beta", "1", "--natural", "--output", output])
+            table = build_table(args)
+            formatted = _spy_cell_texts(monkeypatch)
+            emit(args, table, _Sink())
+            assert len(formatted) == np.unique(table.rho.view(np.int64)).size, N
+        assert len(formatted) < table.rho.size // 100
 
     def test_out_file_holds_the_stdout_bytes_of_a_multi_block_table(self, tmp_path, capsys):
         argv = ["density-matrix", "--N", "100", "--beta", "1", "--natural", "--output", "json"]  # 10,201 rows
@@ -862,8 +878,8 @@ class TestEmitBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert table.matrix.nbytes == 8 * 401 ** 2
-            assert peak <= 1.25 * table.matrix.nbytes, flags
+            assert table.rho.nbytes == 8 * 401 ** 2
+            assert peak <= 1.25 * table.rho.nbytes, flags
 
     @pytest.mark.parametrize("output, separator", [("csv", b"\n"), ("json", b"], [")], ids=["csv", "json"])
     def test_reader_closing_mid_stream_exits_one_without_traceback(self, output, separator):

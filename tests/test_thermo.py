@@ -476,6 +476,20 @@ class TestGaussianSeries:
         _gaussian_series(0.01)  # stops at n = 59, within the head
         assert len(exp_calls) == 59
 
+    def test_head_that_does_not_stop_hands_over_at_65(self, exp_calls):
+        # for c in ~[0.0084412, 0.0084543] the head runs, none of its 64 terms stops the sum, and
+        # n* = 65: the value is, bit for bit, the 64 libm terms summed in order plus the np.exp
+        # block from n = 65 (a block from 64 would count term 64 twice, ~0.5 eps)
+        for c in [0.0084413, 0.0084456, 0.0084499, 0.0084542]:
+            exp_calls.clear()
+            value = _gaussian_series(c)
+            assert len(exp_calls) == 1 + 64, c  # the head rule's exp, then every head term
+            total = 0.0
+            for n in range(1, 65):
+                total += math.exp(-c * n * n)
+            k = np.arange(65, 66, dtype=float)
+            assert value == total + float(np.exp(k * -c * k).sum()), c
+
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_block_boundaries_keep_the_stop(self, monkeypatch, block):
         # blocks of 1-7 terms put the stop n* on a block's first and last term, and the
