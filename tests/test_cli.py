@@ -489,8 +489,14 @@ class TestExitStatuses:
             argv += ["--SI", "--m-star", repr(draw(power)), "--hbar", repr(draw(power)), "--k-B", repr(draw(power))]
         else:
             argv += ["--natural"]
-        swept = command in ("partition", "mean-energy", "heat-capacity", "converge")
-        if swept and (command == "converge" or draw(st.booleans())):
+        if command == "converge":  # a sweep over N, with integer ends
+            start, stop = sorted([draw(st.integers(2, 4096)), draw(st.integers(2, 4096))])
+            points, scale = draw(st.integers(2, 5)), draw(st.sampled_from(["linear", "log"]))
+            argv += ["--sweep", f"{start}:{stop}:{points}:{scale}"]
+            argv += ["--quantity", draw(st.sampled_from(["energy", "partition"]))]
+            if argv[-1] == "partition":
+                argv += [draw(st.sampled_from(["--beta", "--T"])), repr(draw(power))]
+        elif command in ("partition", "mean-energy", "heat-capacity") and draw(st.booleans()):
             start, stop = sorted([draw(power), draw(power)])
             points, scale = draw(st.integers(2, 5)), draw(st.sampled_from(["linear", "log"]))
             argv += ["--sweep", f"{start!r}:{stop!r}:{points}:{scale}"]

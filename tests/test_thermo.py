@@ -50,6 +50,8 @@ def beta_for_mu(mu, L=1.0):
 
 
 EPS = np.finfo(float).eps
+#: From this c up the series is the 64-term libm head; below it, np.exp blocks from n = 1 and a tail.
+HEAD_FROM = 40.0 / 64 ** 2
 
 
 def _gaussian_series_reference_stop(c, rtol=SERIES_RTOL):
@@ -67,10 +69,19 @@ def _gaussian_series_reference(c):
     return _gaussian_series_reference_stop(c)[0]
 
 
+def _tail(c, n):
+    """The block path's tail past n: the integral of exp(-c m^2) from n + 1/2 on, as _gaussian_series adds it."""
+    return 0.5 * math.sqrt(math.pi / c) * math.erfc(math.sqrt(c) * (n + 0.5))
+
+
 def _gaussian_series_exact(c, rtol=SERIES_RTOL):
-    """The reference loop's libm terms up to its stop, summed exactly and rounded once (math.fsum)."""
+    """The reference loop's libm terms up to its stop, summed exactly and rounded once (math.fsum).
+
+    Below HEAD_FROM, where the blocks run, the tail past that stop is added too.
+    """
     _, n = _gaussian_series_reference_stop(c, rtol)
-    return math.fsum(math.exp(-c * k * k) for k in range(1, n + 1))
+    total = math.fsum(math.exp(-c * k * k) for k in range(1, n + 1))
+    return total + _tail(c, n) if c < HEAD_FROM else total
 
 
 class TestPartitionDiscrete:
@@ -410,10 +421,18 @@ class TestGaussianSeries:
         for c in [*np.geomspace(0.01, 50.0, 40).tolist(), *golden]:
             assert _gaussian_series(c) == _gaussian_series_reference(c)
 
+    def test_golden_series_take_the_head(self):
+        # partition.csv sums the series at mu (Z_continuum_sum, and Z_theta from mu = 1) and at
+        # pi^2/mu (Z_theta below mu = 1); every one is at least 40/64^2, so every golden series
+        # is the libm head, summed term by term in order, and that order sets the goldens' bits
+        for b in np.linspace(0.5, 4.0, 4).tolist():
+            mu = theta_argument(6.0, NATURAL, b)
+            assert min(mu, math.pi * math.pi / mu) >= HEAD_FROM, b
+
     def test_long_series_within_4_eps_of_exact_sum(self):
         # np.exp is within 1 ulp of libm's exp and each block is summed pairwise, so
-        # the value is the exact sum of the reference's terms up to a few eps; the
-        # sequential loop itself drifts from it by up to ~1,000 eps
+        # the value is the exact sum of the reference's terms (plus the tail below
+        # 40/64^2) up to a few eps; the sequential loop itself drifts from it by up to ~1,000 eps
         for c in np.geomspace(1e-10, 10.0, 41).tolist():
             exact = _gaussian_series_exact(c)
             assert abs(_gaussian_series(c) - exact) <= 4 * EPS * exact, c
@@ -429,16 +448,16 @@ class TestGaussianSeries:
 
     def test_stop_at_exactly_the_cap_returns(self):
         # at this c the stop n* = ceil(sqrt(x/c)) is SERIES_CAP itself, so the sum runs (n* >= SERIES_CAP
-        # would raise), and one float below it n* is SERIES_CAP + 1; the sum falls short of the Jacobi
-        # value (sqrt(pi/c) - 1)/2 by its tail, ~SERIES_RTOL/(2 c n*) ~ 2e-12 of itself
+        # would raise), and one float below it n* is SERIES_CAP + 1; with its tail the sum is the
+        # Jacobi value (sqrt(pi/c) - 1)/2 to a few eps
         c = 2.4751070341549482e-11
-        assert _gaussian_series(c) == pytest.approx(0.5 * (math.sqrt(math.pi / c) - 1.0), rel=1e-11)
+        assert _gaussian_series(c) == pytest.approx(0.5 * (math.sqrt(math.pi / c) - 1.0), rel=4 * EPS)
         with pytest.raises(SeriesCapExceeded):
             _gaussian_series(float(np.nextafter(c, 0.0)))
 
     @pytest.fixture
     def exp_calls(self, monkeypatch):
-        """The arguments of every math.exp call the series makes: the head rule's, then one per head term."""
+        """The arguments of every math.exp call the series makes: one per head term."""
         calls = []
 
         class SpyMath:
@@ -452,66 +471,78 @@ class TestGaussianSeries:
         monkeypatch.setattr(thermo, "math", SpyMath())
         return calls
 
+    @staticmethod
+    def _blocks(c, n, block=8192):
+        """np.exp of (-c k) k for k = 1 ... n in blocks of `block`, each summed pairwise, then the tail past n."""
+        total = 0.0
+        for first in range(1, n + 1, block):
+            k = np.arange(first, min(first + block, n + 1), dtype=float)
+            total += float(np.exp(k * -c * k).sum())
+        return total + _tail(c, n)
+
     def test_head_rule_keeps_every_head_stop(self, exp_calls):
-        # every series that stops within the 64-term libm head still runs it and
-        # is bit-identical; the blocks start at n = 1 only where no head term can stop
+        # every c >= 40/64^2 (the split itself included) runs the libm head, which stops within
+        # its 64 terms and is bit-identical to the reference loop; below it the blocks run and
+        # no math.exp is called
         heads = 0
-        for c in np.geomspace(1e-3, 0.05, 401).tolist():
+        for c in [*np.geomspace(1e-3, 0.05, 401).tolist(), HEAD_FROM, float(np.nextafter(HEAD_FROM, 0.0))]:
             ref, n = _gaussian_series_reference_stop(c)
             exp_calls.clear()
             value = _gaussian_series(c)
-            if n <= 64:
+            if c >= HEAD_FROM:
                 heads += 1
-                assert value == ref and len(exp_calls) > 1, c
+                assert n <= 64 and value == ref and len(exp_calls) == n, c
             else:
-                assert abs(value - ref) <= 16 * EPS * ref, c
-        assert 0 < heads < 401
+                assert exp_calls == [], c
+                exact = _gaussian_series_exact(c)
+                assert abs(value - exact) <= 4 * EPS * exact, c
+        assert 0 < heads < 403
 
     def test_no_head_below_mu_1e_3(self, exp_calls):
-        for c in np.geomspace(1e-10, 1e-3, 29).tolist():
+        for c in [*np.geomspace(1e-10, 1e-3, 29).tolist(), float(np.nextafter(HEAD_FROM, 0.0))]:
             exp_calls.clear()
             _gaussian_series(c)
-            assert exp_calls == [-c * 64 * 64], c
+            assert exp_calls == [], c
         exp_calls.clear()
         _gaussian_series(0.01)  # stops at n = 59, within the head
         assert len(exp_calls) == 59
 
-    def test_head_that_does_not_stop_hands_over_at_65(self, exp_calls):
-        # for c in ~[0.0084412, 0.0084543] the head runs, none of its 64 terms stops the sum, and
-        # n* = 65: the value is, bit for bit, the 64 libm terms summed in order plus the np.exp
-        # block from n = 65 (a block from 64 would count term 64 twice, ~0.5 eps)
-        for c in [0.0084413, 0.0084456, 0.0084499, 0.0084542]:
-            exp_calls.clear()
-            value = _gaussian_series(c)
-            assert len(exp_calls) == 1 + 64, c  # the head rule's exp, then every head term
-            total = 0.0
-            for n in range(1, 65):
-                total += math.exp(-c * n * n)
-            k = np.arange(65, 66, dtype=float)
-            assert value == total + float(np.exp(k * -c * k).sum()), c
-
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
     def test_block_boundaries_keep_the_stop(self, monkeypatch, block):
         # blocks of 1-7 terms put the stop n* on a block's first and last term, and the
-        # last block must end there.  The block sums are added one after another, so they
-        # drift ~sqrt(n/block) eps.
+        # last block must end there, bit for bit (a last block of one or two terms
+        # dropped moves the sum by about an ulp).  The block sums are added one after
+        # another, so they drift ~sqrt(n/block) eps.
         monkeypatch.setattr(thermo, "_SERIES_BLOCK_CAP", block)
         for c in [*np.geomspace(1e-6, 1e-2, 13).tolist(), 0.009, 0.02]:
             exact = _gaussian_series_exact(c)
             n = _gaussian_series_reference_stop(c)[1]
             bound = 4 + 2 * math.sqrt(n / block)
-            assert abs(_gaussian_series(c) - exact) <= bound * EPS * exact, c
+            value = _gaussian_series(c)
+            assert abs(value - exact) <= bound * EPS * exact, c
+            assert c >= HEAD_FROM or value == self._blocks(c, n, block), c
 
     def test_blocks_end_at_the_reference_stop(self):
-        # past the head the stop n* is a formula in S = (sqrt(pi/c) - 1)/2; the value is,
-        # bit for bit, the reference loop's n terms as np.exp blocks of 8192, each summed pairwise
+        # below 40/64^2 the stop n* is a formula in S = (sqrt(pi/c) - 1)/2; the value is, bit for
+        # bit, the reference loop's n terms as np.exp blocks of 8192 from n = 1, each summed pairwise,
+        # plus the tail
         for c in np.geomspace(1e-7, 0.008, 300).tolist():
             n = _gaussian_series_reference_stop(c)[1]
-            total = 0.0
-            for first in range(1, n + 1, 8192):
-                k = np.arange(first, min(first + 8192, n + 1), dtype=float)
-                total += float(np.exp(k * -c * k).sum())
-            assert _gaussian_series(c) == total, c
+            assert _gaussian_series(c) == self._blocks(c, n), c
+
+    def test_split_band_sums_blocks_from_1(self, exp_calls):
+        # for c in ~[0.0084412, 0.0084543] n* = 65, one past a 64-term head; just below the split
+        # such a c is, bit for bit, np.exp blocks from n = 1 plus the tail, with no math.exp
+        # call, and at the split itself the libm head runs and stops there
+        for c in [0.0084413, 0.0084542, float(np.nextafter(HEAD_FROM, 0.0))]:
+            n = _gaussian_series_reference_stop(c)[1]
+            exp_calls.clear()
+            assert _gaussian_series(c) == self._blocks(c, n), c
+            assert exp_calls == [], c
+        ref, n = _gaussian_series_reference_stop(HEAD_FROM)
+        exp_calls.clear()
+        assert _gaussian_series(HEAD_FROM) == ref
+        assert len(exp_calls) == n <= 64
 
     @pytest.mark.parametrize("c", [2.4750e-11, 1e-13, 1e-300, 0.0, math.nan])
     def test_cap_raises_before_any_term(self, monkeypatch, c):
@@ -532,23 +563,17 @@ class TestGaussianSeries:
             _gaussian_series(c)
         assert calls == []
 
-    @pytest.mark.parametrize("c", [1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("c", [2.5e-11, 1e-10, 1e-9, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 8e-3])
     def test_tail_bound_against_mpmath(self, c):
-        # stopping at n leaves a tail below term q/(1 - q), q = exp(-2 c n), and the
-        # term is at most SERIES_RTOL of the sum: the value falls short of the
-        # 40-digit S by up to that much, give or take a few eps of rounding (the
-        # blocks are summed pairwise; a sequential sum of n terms drifts ~sqrt(n) eps)
-        _, n = _gaussian_series_reference_stop(c)
-        q = math.exp(-2.0 * c * n)
-        tail = SERIES_RTOL * q / (1.0 - q)
-        rounding = 2.0 * EPS
+        # stopping at n leaves out a tail of ~term q/(1 - q), q = exp(-2 c n), up to ~8,900 eps
+        # of the sum at c = 2.5e-11; the integral of exp(-c m^2) from n + 1/2 on restores it to
+        # within ~c n term/12, and the blocks are summed pairwise, so the value is within a few
+        # eps of the 40-digit S (a sequential sum of n terms would drift ~sqrt(n) eps)
         with mpmath.workdps(40):
             cm = mpmath.mpf(c)
             S = (mpmath.sqrt(mpmath.pi / cm) * (1 + 2 * mpmath.exp(-mpmath.pi ** 2 / cm)) - 1) / 2
-            short = float((S - mpmath.mpf(_gaussian_series(c))) / S)
-        assert -rounding <= short <= tail + rounding
-        if c == 1e-10:  # the tail, ~3,900 eps here, not the rounding sets the error
-            assert short > 1000 * EPS
+            error = float((mpmath.mpf(_gaussian_series(c)) - S) / S)
+        assert abs(error) <= 4 * EPS, error / EPS
 
 
 class TestMeanEnergy:
