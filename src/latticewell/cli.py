@@ -11,12 +11,12 @@ format round-trips exactly.  A JSON document holds four objects:
 inf (JSON has no such numbers); ``config`` holds the command and its options as
 parsed from flags and config file, null where an option was not given (the
 sweep as its text); ``meta`` holds the package version, the unit mode and the
-m_star, hbar and k_B the run used.  Either format streams its rows in blocks of
-``EMIT_BLOCK_ROWS``, so writing a table takes memory for one block, not for the
-table; JSON writes ``rows`` before ``meta``.  The density matrix reaches the
-writer as the library's ``DensityMatrix``, its (N+1) x (N+1) matrix, not as
-(N+1)^2 rows of three columns, and its rows (n, n_prime, rho) are written one
-matrix row per write, from one row template that already holds every n_prime.
+m_star, hbar and k_B the run used.  Either format writes every table one block
+of about ``EMIT_BLOCK_ROWS`` rows per write, so writing a table takes memory for
+one block, not for the table; JSON writes ``rows`` before ``meta``.  The density
+matrix reaches the writer as the library's ``DensityMatrix``, its (N+1) x (N+1)
+matrix, not as (N+1)^2 rows of three columns, and its blocks are whole matrix
+rows, each N+1 rows (n, n_prime, rho) of one template that holds every n_prime.
 Its cells repeat (at N = 400, beta = 1, 397 bit patterns among 160,801 cells),
 so each distinct cell is formatted once and its text reused from a cache
 bounded by ``EMIT_BLOCK_ROWS`` texts; a matrix with more distinct cells than
@@ -87,9 +87,9 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERIC = 4
 
-#: Rows of a column table formatted per write in either format, which bounds the
-#: emitter's memory (a density matrix goes one matrix row per write instead, and
-#: caches the texts of about this many distinct cells).
+#: Rows of a table formatted per write in either format, which bounds the emitter's
+#: memory (a density matrix writes as many whole matrix rows as fit, at least one,
+#: and caches the texts of about this many distinct cells).
 #: Emitting the 160,801-row CSV of ``wavefunction --N 160800`` took a best 123 ms
 #: at 4,096 rows (9 interleaved runs on a shared 2-core host), against 126 ms at
 #: 1,024 and 8,192 rows and 140 ms at 65,536, and peaked at 0.9 MB under
@@ -474,20 +474,20 @@ def _cell_texts(cell: str, values: list) -> list[str]:
 def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
     """Write the table as CSV (ints as is, floats to 17 digits) or as one JSON document (nan/inf as null).
 
-    Both formats stream the rows in blocks of ``EMIT_BLOCK_ROWS``: one ``%`` format
-    of a row template per block, so the emitter's memory is O(block), not O(table).
-    A ``DensityMatrix`` is written one matrix row per write instead, from one
-    template of a whole matrix row built once, with each n_prime in it as text:
-    each row's n goes in as one ``str`` and only its N+1 cells go in per row, so
-    the template and each write hold O(N) cells and no int is formatted per cell.
-    Its cells repeat, so each cell's text comes from a cache keyed by its float64
-    bits (+0.0 and -0.0, or two NaN payloads, stay apart), and the template takes
-    every cell as ``%s``.  The bits are read in blocks of EMIT_BLOCK_ROWS // (N+1)
-    rows (at least one), and a pattern new to the cache is formatted once by the
-    CSV or JSON rule (``_cell_texts``).  Once the cache holds more than
-    EMIT_BLOCK_ROWS texts (so at most that plus one block's cells), it is dropped
-    and the template formats the rest of the matrix inline (``%.17g`` in CSV):
-    a matrix with that many distinct cells gains little from the cache.
+    Both formats write the rows in blocks of ``EMIT_BLOCK_ROWS``, one write and one
+    ``%`` format of a row template per block, so the emitter's memory is O(block),
+    not O(table).  A ``DensityMatrix``'s blocks are EMIT_BLOCK_ROWS // (N+1) matrix
+    rows (at least one), from one template of a whole matrix row built once, with
+    each n_prime in it as text: each row's n goes into its copy of the template
+    once, by ``str.replace`` of the marker ``#``, and only the block's cells go in
+    by ``%``, so no int is formatted per cell.  Its cells repeat, so each cell's
+    text comes from a cache keyed by its float64 bits (+0.0 and -0.0, or two NaN
+    payloads, stay apart), and the template takes every cell as ``%s``.  A pattern
+    new to the cache is formatted once by the CSV or JSON rule (``_cell_texts``).
+    Once the cache holds more than EMIT_BLOCK_ROWS texts (so at most that plus one
+    block's cells), it is dropped and the template formats the rest of the matrix
+    inline (``%.17g`` in CSV): a matrix with that many distinct cells gains little
+    from the cache.
     JSON's ``rows`` come before ``meta``, so the document is written as a head
     (``config`` and ``columns``), the row blocks joined by ", ", and a tail (``meta``),
     byte for byte the ``json.dumps`` of the whole document.
@@ -498,13 +498,13 @@ def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
     if args.output == "csv":
         stream.write(",".join(names) + "\n")
         row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
-        site_row, cell, joint, cells_of = "%s,{},{}\n", "%.17g", "", np.ndarray.tolist
+        site_row, cell, joint, cells_of = "#,{},{}\n", "%.17g", "", np.ndarray.tolist
     else:
         head = json.dumps({"config": vars(args), "columns": names},
                           default=lambda sweep: sweep.text, allow_nan=False)
         stream.write(head[:-1] + ', "rows": [')  # the head without its closing brace
         row = "[" + ", ".join(["%s"] * len(columns)) + "]"
-        site_row, cell, joint, cells_of = "[%s, {}, {}]", "%s", ", ", _json_cells
+        site_row, cell, joint, cells_of = "[#, {}, {}]", "%s", ", ", _json_cells
     lead = ""
     if matrix is None:
         for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
@@ -523,19 +523,17 @@ def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
                 texts = None
                 template = joint.join([site_row.format(n_prime, cell) for n_prime in range(size)])
             if texts is None:
-                rows = map(cells_of, block)
+                cells = cells_of(block.ravel())
             else:
                 bits = block.view(np.int64).ravel().tolist()
                 new = set(bits).difference(texts)
                 if new:
                     new = list(new)
                     texts.update(zip(new, _cell_texts(cell, cells_of(np.array(new).view(np.float64)))))
-                rows = (map(texts.__getitem__, bits[i:i + size]) for i in range(0, len(bits), size))
-            for n, row_cells in enumerate(rows, start):
-                cells = [str(n), None] * size
-                cells[1::2] = row_cells
-                stream.write(lead + template % tuple(cells))
-                lead = joint
+                cells = map(texts.__getitem__, bits)
+            rows = joint.join([template.replace("#", str(n)) for n in range(start, start + len(block))])
+            stream.write(lead + rows % tuple(cells))
+            lead = joint
     if args.output == "json":
         meta = {"version": __version__, "unit_mode": "SI" if args.si else "natural", **asdict(_particle(args))}
         stream.write('], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n")

@@ -79,7 +79,7 @@ def _gaussian_series(c: float) -> float:
     term <= SERIES_RTOL * (running total).  One of them always stops it, since
     exp(-64^2 c) <= exp(-40) < SERIES_RTOL exp(-c).  Every such series is
     bit-identical to a plain loop, whose sequential order sets the last bits of
-    the golden CSVs.  c = 0 and nan take this path too, and then raise below.
+    the golden CSVs.  c = 0 and nan skip the head, and raise below.
 
     Below the split no head term runs.  The sum stops at n* = ceil(sqrt(x/c)),
     x = -ln(SERIES_RTOL S), the first n with exp(-c n^2) <= SERIES_RTOL * S.
@@ -90,10 +90,11 @@ def _gaussian_series(c: float) -> float:
     stop rules pick different n only on a near-tie, where the sums differ by one
     term of at most half an ulp.  The terms 1 ... n* are np.exp of the same
     arguments (-c n) n in blocks of _SERIES_BLOCK_CAP terms (64 KiB per
-    temporary), each summed pairwise and added to the carried total, within ~3 eps
-    of the exact sum of the terms (a sequential sum drifts ~sqrt(n) eps, ~1,000 eps
-    at c = 2.5e-11).  np.exp differs from libm's exp by 1 ulp on ~5 % of
-    arguments; over a long sum that moves the total by ~1 ulp.  The terms past n*
+    temporary), each summed pairwise, and the block sums are added exactly
+    (math.fsum), within ~3 eps of the exact sum of the terms (a sequential sum
+    drifts ~sqrt(n) eps, ~1,000 eps at c = 2.5e-11).  np.exp differs from libm's
+    exp by 1 ulp on ~5 % of arguments; over a long sum that moves the total by
+    ~1 ulp.  The terms past n*
     add up to ~term * q/(1 - q), q = exp(-2 c n*), up to ~8,900 eps of the sum at
     c = 2.5e-11, so their integral from n* + 1/2 on,
     (1/2) sqrt(pi/c) erfc(sqrt(c) (n* + 1/2)), is added; its own error is
@@ -101,14 +102,15 @@ def _gaussian_series(c: float) -> float:
     (c not > 0, or SERIES_RTOL * S >= 1 at c <~ 1e-32), raises SeriesCapExceeded
     before any term.
 
-    Either path is within ~5 eps of the true sum: 5.3 eps at most against a
-    40-digit Jacobi S over 2,000 log-uniform c below the split, and 3.9 eps
-    against a 40-digit sum over 300 log-spaced c in [40/64^2, 50], where the
-    head's tail, below SERIES_RTOL/2 of the sum, is left out.
+    Either path is within ~4 eps of the true sum.  Against a 40-digit Jacobi S,
+    a sum of several blocks (c < ~4.4e-7) was within 1.9 eps over 5,000
+    log-uniform c, and one block within 3.0 eps over 20,000 c in [1e-4, 40/64^2),
+    where its pairwise sum holds the whole series.  Against a 40-digit sum over
+    300 log-spaced c in [40/64^2, 50] the head was within 3.9 eps; its tail,
+    below SERIES_RTOL/2 of the sum, is left out.
     """
-    total = 0.0
-    # from c * 64^2 >= 40 a head term always stops the sum; c = 0 and nan take the head
-    if not 0.0 < c < 40.0 / _SERIES_HEAD ** 2:
+    if c >= 40.0 / _SERIES_HEAD ** 2:  # from c * 64^2 >= 40 a head term always stops the sum
+        total = 0.0
         for n in range(1, _SERIES_HEAD + 1):
             term = math.exp(-c * n * n)
             total += term
@@ -117,14 +119,15 @@ def _gaussian_series(c: float) -> float:
     x = -math.log(SERIES_RTOL * 0.5 * (math.sqrt(math.pi / c) - 1.0)) if c > 0.0 else 0.0
     if not x > 0.0 or (stop := math.ceil(math.sqrt(x / c))) > SERIES_CAP:
         raise SeriesCapExceeded(f"sum of exp(-{c:g} n^2) needs more than {SERIES_CAP} terms")
+    sums = []
     for first in range(1, stop + 1, _SERIES_BLOCK_CAP):
         n = np.arange(first, min(first + _SERIES_BLOCK_CAP, stop + 1), dtype=float)
         terms = n * -c
         terms *= n
         np.exp(terms, out=terms)
-        total += float(terms.sum())
+        sums.append(float(terms.sum()))
     # the tail past n*: the integral of exp(-c m^2) from n* + 1/2 on
-    return total + 0.5 * math.sqrt(math.pi / c) * math.erfc(math.sqrt(c) * (stop + 0.5))
+    return math.fsum(sums) + 0.5 * math.sqrt(math.pi / c) * math.erfc(math.sqrt(c) * (stop + 0.5))
 
 
 def partition_discrete(spectrum: Spectrum, beta: float) -> PartitionResult:

@@ -474,7 +474,8 @@ class TestExitStatuses:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_exit_code_contract(self, data):
         # any flag set from the domain below exits 0-4 with no traceback, no bare libm
-        # message and no nan or inf cell but the discrete columns of a run without --N
+        # message and no nan or inf cell but the discrete columns of a run without --N;
+        # a run that exits 0 writes nothing to stderr, and any other names its kind of error
         draw = data.draw
         power = st.floats(-323.0, 308.0).map(lambda u: 10.0 ** u)
         command = draw(st.sampled_from(["spectrum", "wavefunction", "density-matrix", "partition", "mean-energy",
@@ -504,6 +505,8 @@ class TestExitStatuses:
             argv += [draw(st.sampled_from(["--beta", "--T"])), repr(draw(power))]
         if command == "density-matrix" and draw(st.booleans()):
             argv += ["--normalized"]
+        if command == "wavefunction" and N is not None:  # the modes' ends, the middle and past the last
+            argv += ["--n-E", str(draw(st.sampled_from([0, 1, N // 2, N - 1, N, N + 1])))]
         output = draw(st.sampled_from(["csv", "json"]))
         argv += ["--output", output]
         out, err = io.StringIO(), io.StringIO()
@@ -511,6 +514,11 @@ class TestExitStatuses:
             code = main(argv)
         assert code in (0, 1, 2, 3, 4), argv
         assert "Traceback" not in err.getvalue(), argv
+        if code == 0:
+            assert err.getvalue() == "", (argv, err.getvalue())
+        else:
+            kinds = ("config error:", "domain error:", "numeric error:", "output error:", "usage:")
+            assert err.getvalue().startswith(kinds), (argv, err.getvalue())
         for bare in ("math domain error", "Numerical result out of range", "float division by zero",
                      "too large to convert"):
             assert bare not in err.getvalue(), (argv, err.getvalue())
@@ -747,6 +755,12 @@ class _Sink:
         self.chars += len(text)
 
 
+class _Writes(list):
+    """A stream that keeps each write's text as one item."""
+
+    write = list.append
+
+
 #: Runs whose config echo or meta the emitter must copy: a --sweep echo, and SI constants.
 EMIT_ARGS = {
     "sweep": ["partition", "--N", "6", "--natural", "--sweep", "0.5:4:4:linear"],
@@ -780,7 +794,7 @@ class TestEmitBlocks:
     @pytest.mark.parametrize("run", sorted(EMIT_ARGS))
     def test_block_boundaries_keep_the_bytes(self, run, output, block_rows):
         args = parse_config(EMIT_ARGS[run] + ["--output", output])
-        for table in (build_table(args), AWKWARD_TABLE):
+        for table in (build_table(args), AWKWARD_TABLE, {"n": list(range(11))}):
             assert _emitted(args, table, block_rows) == _expected(args, table)
 
     @given(data=st.data(), rows=st.integers(0, 25), width=st.integers(1, 3),
@@ -793,16 +807,32 @@ class TestEmitBlocks:
             table[f"f{k}"] = data.draw(st.lists(st.floats(), min_size=rows, max_size=rows))
         assert _emitted(args, table, block_rows) == _expected(args, table)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 500])
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 65])
     def test_site_matrix_keeps_the_bytes_of_its_three_columns(self, N, output, block_rows):
-        # the matrix path against the (N+1)^2 columns n, n_prime, rho that the command built before
+        # the matrix path against the (N+1)^2 columns n, n_prime, rho that the command built before;
+        # 500 block rows write N = 65's 66 matrix rows seven to a block, and three in the last
         for flags in (["--beta", "1"], ["--beta", "1", "--normalized"], ["--beta", "0"]):
             args = parse_config(["density-matrix", "--N", str(N), "--natural", "--output", output, *flags])
             table = build_table(args)
             assert type(table) is DensityMatrix and table.rho.shape == (N + 1, N + 1)
             assert _emitted(args, table, block_rows) == _emitted(args, _site_columns(table), block_rows)
+
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    def test_site_matrix_writes_one_block_of_whole_rows_per_write(self, output):
+        # N = 65 has 66 matrix rows of 66 cells; each write holds EMIT_BLOCK_ROWS // 66 of
+        # them (at least one), and the last write the rest
+        args = parse_config(["density-matrix", "--N", "65", "--beta", "1", "--natural", "--output", output])
+        table = build_table(args)
+        for block_rows, step in ((7, 1), (66, 1), (132, 2), (500, 7), (1 << 12, 62)):
+            stream = _Writes()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "EMIT_BLOCK_ROWS", block_rows)
+                emit(args, table, stream)
+            blocks = stream[1:-1] if output == "json" else stream[1:]  # less the head (and JSON's tail)
+            rows = [block.count("\n" if output == "csv" else "]") for block in blocks]
+            assert rows == [66 * min(step, 66 - start) for start in range(0, 66, step)], block_rows
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_of_awkward_cells_keeps_the_bytes(self, output, monkeypatch):
@@ -820,13 +850,15 @@ class TestEmitBlocks:
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_that_overflows_the_cache_keeps_the_bytes(self, output, monkeypatch):
         # 529 distinct cells: the cache of 64 texts (plus a row) fills part-way down, and the
-        # rows after it go through the inline template
+        # rows after it go through the inline template; at 200 texts it fills between blocks of
+        # three rows
         args = parse_config(["density-matrix", "--N", "65", "--beta", "1e5", "--natural", "--output", output])
         table = build_table(args)
         distinct = np.unique(table.rho.view(np.int64)).size
-        formatted = _spy_cell_texts(monkeypatch)
-        assert _emitted(args, table, 64) == _expected(args, _site_columns(table))
-        assert 64 < len(formatted) < distinct
+        for block_rows in (64, 200):
+            formatted = _spy_cell_texts(monkeypatch)
+            assert _emitted(args, table, block_rows) == _expected(args, _site_columns(table))
+            assert block_rows < len(formatted) < distinct, block_rows
 
     @pytest.mark.parametrize("output", ["csv", "json"])
     def test_site_matrix_formats_each_distinct_cell_once(self, output, monkeypatch):
