@@ -4,7 +4,8 @@ Four routes to Z: the discrete sum over the N-1 lattice modes, the continuum
 sum over parabolic levels, its closed Gaussian-integral form
 L sqrt(m*/2 pi beta hbar^2), and the theta-function form (theta3(mu) - 1)/2
 with mu = beta hbar^2 pi^2 / (2 m* L^2).  Below mu = 1 the four share no series
-(the theta form sums Jacobi's, in pi^2/mu); from mu = 1 up theta and sum are one.
+(the theta form sums Jacobi's, in pi^2/mu); from mu = 1 up theta and sum are one,
+and below the normal range of mu theta is the closed form less 1/2.
 Every route returns a PartitionResult, which holds only Z and beta: mu comes
 from theta_argument, and F = -ln Z / beta from Z itself, so a discrete Z that
 underflows to 0 has no F (the CLI's F column is the closed form's).  Mean
@@ -12,6 +13,7 @@ energies and the two-level (Schottky) heat capacity derive from these.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,18 +179,22 @@ def theta3_poisson(mu: float) -> float:
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:
-    """Continuum partition function (theta3(mu) - 1) / 2; a mu that underflows to 0 raises OverflowError.
+    """Continuum partition function (theta3(mu) - 1) / 2.
 
     Below mu = 1 it is (theta3_poisson(mu) - 1) / 2, a series in exp(-(pi^2/mu) n^2)
     that shares no term with the continuum sum.  That subtraction loses a factor
     theta3/(theta3 - 1) of accuracy (2.3 at mu = 1, 12.6 at mu = pi), so from mu = 1
     up this route is the direct series S = (theta3 - 1)/2 of partition_continuum_sum.
+    Below the normal range of mu (mu = 0 included) pi^2/mu overflows and
+    theta3(pi^2/mu) = 1, so Z_theta = (1/2) sqrt(pi/mu) - 1/2 is Z_closed - 1/2:
+    Z_closed takes sqrt(pi/mu) from the factors' significands, where a subnormal mu
+    has lost digits.  It raises OverflowError only where Z_closed overflows.
     """
     mu = theta_argument(L, particle, beta)
     if mu >= 1.0:
         return PartitionResult(_gaussian_series(mu), beta)
-    if not mu:
-        raise OverflowError(f"Z_theta needs mu > 0, but mu underflows to 0 at L={L!r}, beta={beta!r}")
+    if mu < sys.float_info.min:
+        return PartitionResult(partition_continuum_closed(L, particle, beta).Z - 0.5, beta)
     return PartitionResult(0.5 * (theta3_poisson(mu) - 1.0), beta)
 
 

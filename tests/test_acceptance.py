@@ -10,35 +10,40 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticewell import (
-    LatticeFunction,
-    LatticeSpec,
-    ParticleSpec,
-    antiderivative,
-    antiderivative_series,
-    build_hamiltonian_matrix,
-    build_spectrum,
-    centered_diff1,
-    closed_form_antiderivative,
-    continuum_limit_error,
-    definite_integral,
+from latticewell.bloch import (
     density_matrix_continuum,
     density_matrix_normalized,
     density_matrix_spectral,
+    propagate_bloch,
+    trace_integral,
+)
+from latticewell.calculus import (
+    antiderivative,
+    antiderivative_series,
+    centered_diff1,
+    closed_form_antiderivative,
+    definite_integral,
+)
+from latticewell.lattice import LatticeFunction, LatticeSpec
+from latticewell.spectrum import (
+    ParticleSpec,
+    build_hamiltonian_matrix,
+    build_spectrum,
+    continuum_limit_error,
     dimensionless_energy,
     eigenfunction,
+    numeric_spectrum,
+)
+from latticewell.thermo import (
     characteristic_temperature,
     heat_capacity_two_level,
     mean_energy,
     mean_energy_continuum,
-    numeric_spectrum,
     partition_continuum_closed,
     partition_continuum_sum,
     partition_discrete,
     partition_theta,
-    propagate_bloch,
     theta_argument,
-    trace_integral,
 )
 from latticewell.cli import main as cli_main
 

@@ -9,21 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewell import (
-    LatticeFunction,
-    LatticeSpec,
-    ParticleSpec,
-    build_hamiltonian_matrix,
+from latticewell import bloch, calculus, spectrum
+from latticewell.bloch import (
     density_matrix_continuum,
     density_matrix_dense,
     density_matrix_normalized,
     density_matrix_spectral,
-    partition_discrete,
     propagate_bloch,
-    build_spectrum,
     trace_integral,
 )
-from latticewell import bloch, calculus, spectrum
+from latticewell.lattice import LatticeFunction, LatticeSpec
+from latticewell.spectrum import ParticleSpec, build_hamiltonian_matrix, build_spectrum
+from latticewell.thermo import partition_discrete
 
 NATURAL = ParticleSpec.natural()
 EPS = sys.float_info.epsilon

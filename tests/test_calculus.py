@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latticewell import (
-    LatticeFunction,
+from latticewell.calculus import (
     SingularQuadrature,
     antiderivative,
     antiderivative_series,
@@ -15,6 +14,7 @@ from latticewell import (
     closed_form_antiderivative,
     definite_integral,
 )
+from latticewell.lattice import LatticeFunction
 
 
 def lattice_fn(g, N):

@@ -2,12 +2,14 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewell import DensityMatrix, LatticeSpec, ParticleSpec, __version__, cli, partition_continuum_sum
+from latticewell import __version__, cli
+from latticewell.bloch import DensityMatrix
 from latticewell.cli import (
     ConfigError,
     SweepSpec,
@@ -29,6 +32,9 @@ from latticewell.cli import (
     main,
     parse_config,
 )
+from latticewell.lattice import LatticeSpec
+from latticewell.spectrum import ParticleSpec
+from latticewell.thermo import partition_continuum_sum
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -54,6 +60,33 @@ ROUND_TRIP_ARGS = {**GOLDEN_ARGS,
     "partition-continuum": ["partition", "--L", "50", "--natural", "--beta", "1"],
     "mean-energy-continuum": ["mean-energy", "--L", "50", "--natural", "--sweep", "0.5:4:3:linear"],
 }
+
+#: Runs that once printed inf or nan with exit 0, or failed unnamed: (argv, exit code, what stderr names).
+NON_FINITE_ROWS = [
+    (["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"], 0, None),
+    (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
+    (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
+    (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
+    (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
+    (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
+    (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4,
+     "sum of exp(-3.38929e-321 n^2)"),
+    (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
+    (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta overflows"),
+    (["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
+      "--sweep", "1.7e-320:3.40016e-320:3:linear"], 3, "H_mean_continuum overflows"),
+    (["partition", "--L", "1", "--SI", "--hbar", "1e160", "--beta", "1"], 0, None),
+    (["mean-energy", "--L", "1", "--SI", "--hbar", "1e200", "--beta", "1"], 0, None),
+    (["partition", "--L", "1e150", "--SI", "--m-star", "5e-324", "--hbar", "1", "--beta", "1"], 0, None),
+    (["partition", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
+     "F = -ln Z/beta is undefined: Z underflows to 0"),
+    (["mean-energy", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
+     "H_mean_continuum is undefined: Z_closed underflows to 0"),
+    (["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
+    (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
+    (["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"], 3, "E_continuum = pi^2 n_E^2"),
+    (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], 0, None),
+]
 
 
 def cli_env():
@@ -413,31 +446,8 @@ class TestExitStatuses:
         expected = 6.0 / math.sqrt(2.0 * math.pi) / math.sqrt(1.7e308) if column == "Z_closed" else 0.5 / 1.7e308
         assert float(row[column]) == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("argv, code, named", [
-        (["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"], 0, None),
-        (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
-        (["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
-        (["wavefunction", "--N", "33", "--L", "3e-309", "--natural"], 0, None),
-        (["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
-        (["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"], 0, None),
-        (["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 4,
-         "sum of exp(-3.38929e-321 n^2)"),
-        (["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"], 0, None),
-        (["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"], 3, "F = -ln Z/beta overflows"),
-        (["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
-          "--sweep", "1.7e-320:3.40016e-320:3:linear"], 3, "H_mean_continuum overflows"),
-        (["partition", "--L", "1", "--SI", "--hbar", "1e160", "--beta", "1"], 0, None),
-        (["mean-energy", "--L", "1", "--SI", "--hbar", "1e200", "--beta", "1"], 0, None),
-        (["partition", "--L", "1e150", "--SI", "--m-star", "5e-324", "--hbar", "1", "--beta", "1"], 0, None),
-        (["partition", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
-         "F = -ln Z/beta is undefined: Z underflows to 0"),
-        (["mean-energy", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"], 3,
-         "H_mean_continuum is undefined: Z_closed underflows to 0"),
-        (["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
-        (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
-        (["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"], 3, "E_continuum = pi^2 n_E^2"),
-        (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], 0, None),
-    ], ids=["spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
+    @pytest.mark.parametrize("argv, code, named", NON_FINITE_ROWS, ids=[
+            "spectrum-hbar-squared-pi-squared", "mean-energy-continuum-only", "mean-energy-N4", "wavefunction-2-over-L",
             "partition-closed-ratio-underflow", "mean-energy-closed-ratio-underflow",
             "partition-hbar-squared-underflow", "mean-energy-hbar-squared-underflow",
             "free-energy-overflow", "mean-energy-step-underflow",
@@ -475,7 +485,8 @@ class TestExitStatuses:
     def test_exit_code_contract(self, data):
         # any flag set from the domain below exits 0-4 with no traceback, no bare libm
         # message and no nan or inf cell but the discrete columns of a run without --N;
-        # a run that exits 0 writes nothing to stderr, and any other names its kind of error
+        # a run that exits 0 writes nothing to stderr, and any other names its kind of error;
+        # the same options from a config file give the same exit code, stdout and stderr
         draw = data.draw
         power = st.floats(-323.0, 308.0).map(lambda u: 10.0 ** u)
         command = draw(st.sampled_from(["spectrum", "wavefunction", "density-matrix", "partition", "mean-energy",
@@ -531,6 +542,27 @@ class TestExitStatuses:
             for column, cell in row.items():
                 if N is not None or "discrete" not in column:
                     assert cell is not None and str(cell).lower() not in ("nan", "inf", "-inf"), (argv, column)
+        if draw(st.booleans()):  # the same options as config-file lines, a bare flag as true
+            lines, rest = [], argv[1:]
+            while rest:
+                key = rest.pop(0)[2:]
+                lines.append(f"{key} = {rest.pop(0) if rest and not rest[0].startswith('--') else 'true'}")
+            conf_out, conf_err = io.StringIO(), io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: hypothesis rejects function-scoped fixtures
+                conf = Path(tmp) / "run.conf"
+                conf.write_text("\n".join(lines) + "\n")
+                with contextlib.redirect_stdout(conf_out), contextlib.redirect_stderr(conf_err):
+                    conf_code = main([command, "--config", str(conf)])
+            assert (conf_code, conf_out.getvalue(), conf_err.getvalue()) == (code, out.getvalue(), err.getvalue()), argv
+
+
+def test_byte_check_runs_the_goldens_and_the_non_finite_rows():
+    # tools/same_bytes.py holds its own copies of both lists, to run without the tests
+    spec = importlib.util.spec_from_file_location("same_bytes", SRC.parent / "tools" / "same_bytes.py")
+    same_bytes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bytes)
+    assert same_bytes.GOLDEN == list(GOLDEN_ARGS.values())
+    assert same_bytes.NON_FINITE == [argv for argv, _, _ in NON_FINITE_ROWS]
 
 
 class TestOutput:

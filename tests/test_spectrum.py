@@ -8,23 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewell import (
-    DensityMatrix,
-    LatticeFunction,
-    LatticeSpec,
+from latticewell.bloch import DensityMatrix, propagate_bloch
+from latticewell.calculus import centered_diff1, centered_diff2, definite_integral
+from latticewell.lattice import LatticeFunction, LatticeSpec
+from latticewell.spectrum import (
     ParticleSpec,
     build_hamiltonian_matrix,
     build_spectrum,
-    centered_diff1,
-    centered_diff2,
     continuum_limit_error,
-    definite_integral,
     dimensionless_energy,
     eigenfunction,
     energy_continuum,
     energy_discrete,
     numeric_spectrum,
-    propagate_bloch,
     sin_pi_ratio,
     sine_mode_matrix,
 )
@@ -41,6 +37,7 @@ def test_lattice_spec_validation():
         LatticeSpec(5, -0.1)
     lat = LatticeSpec(8, 0.5)
     assert lat.L == 4.0
+    assert lat.coords().tolist() == [0.5 * n for n in range(9)]  # sites 0..N, no more
 
 
 @pytest.mark.parametrize("call, expected", [
