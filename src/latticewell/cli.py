@@ -33,12 +33,13 @@ its exclusive pair (a/L, beta/T, natural/SI).
 
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
 2 configuration error, including a config file that cannot be read, an --out
-path that cannot be written and a sweep whose values overflow; 3 domain error,
-including a quantity that overflows (beta or T from the other, energy scale,
-E_continuum, width, Z_closed, F, H_mean_continuum, x); 4 numeric error
-(series cap hit).  The unit-bearing quantities (the energy scale, E_continuum,
-mu, Z_closed and sqrt(2/L)) follow one rule: each is formed from its factors'
-significands, with their powers of two applied once at the end, so it
+path that cannot be written and a sweep of more than ``SWEEP_MAX_POINTS`` points
+or whose values overflow; 3 domain error, including a quantity that overflows
+(beta or T from the other, energy scale, E_continuum, width, Z_closed, F,
+H_mean_continuum, x); 4 numeric error (series cap hit).  The unit-bearing
+quantities (the energy scale, E_continuum, mu, Z_closed and sqrt(2/L)) follow
+one rule: each is formed from its factors' significands, with their powers of
+two applied once at the end, so it
 overflows (exit 3, or Z = 0 for a mu that overflows) or underflows to 0 only
 where its true value does, never because hbar^2 or 2 m* L^2 left the range.
 """
@@ -96,6 +97,12 @@ EXIT_NUMERIC = 4
 #: tracemalloc (1.8 MB at 8,192 rows).
 EMIT_BLOCK_ROWS = 1 << 12
 
+#: The most points a sweep may have, so that its values are bounded before they are formed:
+#: 100 times the largest sweep of the benchmark (1,000 points).  A 10**5-point
+#: ``partition --N 6 --natural`` sweep takes 2.9 s and peaks at 67 MB (one run on a
+#: shared 2-core host).
+SWEEP_MAX_POINTS = 10 ** 5
+
 #: Mutually exclusive option pairs, by dest.
 _PAIRS = (("a", "L"), ("beta", "T"), ("natural", "si"))
 _TRUE_WORDS = ("1", "true", "yes", "on")
@@ -123,7 +130,7 @@ class SweepSpec:
 
     @classmethod
     def parse(cls, text: str) -> "SweepSpec":
-        """The argparse type of --sweep; a sweep whose values overflow is a config error."""
+        """The argparse type of --sweep; a sweep of too many points or whose values overflow is a config error."""
         parts = text.split(":")
         if len(parts) != 4:
             raise ConfigError(f"sweep must be start:stop:points:scale, got {text!r}")
@@ -134,8 +141,8 @@ class SweepSpec:
         scale = parts[3]
         if scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be linear or log, got {scale!r}")
-        if points < 2:
-            raise ConfigError(f"sweep needs at least 2 points, got {points}")
+        if not 2 <= points <= SWEEP_MAX_POINTS:
+            raise ConfigError(f"sweep needs 2 to {SWEEP_MAX_POINTS} points, got {points}")
         if not start > 0 or not stop > start:
             raise ConfigError(f"sweep needs 0 < start < stop, got {text!r}")
         k = points - 1
@@ -490,11 +497,14 @@ def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
     from the cache.
     JSON's ``rows`` come before ``meta``, so the document is written as a head
     (``config`` and ``columns``), the row blocks joined by ", ", and a tail (``meta``),
-    byte for byte the ``json.dumps`` of the whole document.
+    byte for byte the ``json.dumps`` of the whole document.  Columns of different
+    lengths raise ValueError before anything is written.
     """
     matrix = table.rho if isinstance(table, DensityMatrix) else None
     names = list(table) if matrix is None else ["n", "n_prime", "rho"]
     columns = [np.asarray(v) for v in table.values()] if matrix is None else []
+    if len({len(col) for col in columns}) > 1:  # the blocks' rows follow the first column
+        raise ValueError(f"table columns differ in length: {dict(zip(names, map(len, columns)))}")
     if args.output == "csv":
         stream.write(",".join(names) + "\n")
         row = ",".join("%.17g" if col.dtype.kind == "f" else "%s" for col in columns) + "\n"
@@ -539,6 +549,24 @@ def emit(args: argparse.Namespace, table: dict | DensityMatrix, stream) -> None:
         stream.write('], "meta": ' + json.dumps(meta, allow_nan=False) + "}\n")
 
 
+class _WholeWrites:
+    """A text stream's binary buffer, to which each write hands on every byte or raises.
+
+    Given more than its buffer holds, a ``BufferedWriter`` on a pipe whose reader
+    closes takes only part of the bytes, and ``TextIOWrapper`` drops the rest
+    without an error; asked again for the rest, it raises ``BrokenPipeError``.
+    """
+
+    def __init__(self, text_stream):
+        text_stream.flush()  # what the text layer holds goes first
+        self.buffer, self.encoding, self.errors = text_stream.buffer, text_stream.encoding, text_stream.errors
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(self.encoding, self.errors))
+        while data:
+            data = data[self.buffer.write(data):]
+
+
 def run(args: argparse.Namespace) -> int:
     """Compute the configured table and write it (spec'd entry point)."""
     table = build_table(args)
@@ -548,8 +576,8 @@ def run(args: argparse.Namespace) -> int:
                 emit(args, table, fh)
         except OSError as exc:
             raise ConfigError(f"cannot write --out: {exc}") from None
-    else:
-        emit(args, table, sys.stdout)
+    else:  # a StringIO has no buffer and takes every write whole
+        emit(args, table, _WholeWrites(sys.stdout) if hasattr(sys.stdout, "buffer") else sys.stdout)
     return EXIT_OK
 
 

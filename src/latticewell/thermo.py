@@ -168,14 +168,12 @@ def theta3(mu: float) -> float:
 def theta3_poisson(mu: float) -> float:
     """Poisson-resummed form sqrt(pi/mu) * theta3(pi^2/mu); equals theta3(mu).
 
-    sqrt(pi/mu) is formed from mu's significand by spectrum._scaled, so it is finite
-    at a subnormal mu too, where pi/mu overflows (and theta3(inf) = 1); at a normal
-    mu it has the bits of math.sqrt(math.pi / mu).
+    mu must be normal: a subnormal mu has already lost digits (partition_theta
+    handles that range itself), and there pi/mu overflows.
     """
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    m, e = math.frexp(mu)
-    return _scaled(math.pi / m, -e, root=1.0) * theta3(math.pi * math.pi / mu)
+    if not mu >= sys.float_info.min:
+        raise ValueError(f"mu must be positive and normal, got {mu!r}")
+    return math.sqrt(math.pi / mu) * theta3(math.pi * math.pi / mu)
 
 
 def partition_theta(L: float, particle: ParticleSpec, beta: float) -> PartitionResult:

@@ -116,6 +116,7 @@ class TestAntiderivativeSeries:
         a = 0.7
         f = LatticeFunction(rng.normal(size=N + 1))
         F = antiderivative(f, a)
+        assert F.N == N
         tol = 4 * (N + 1) * np.finfo(float).eps * 2 * a * np.sum(np.abs(f.values))
         for n in range(N + 1):
             assert abs(F(n) - antiderivative_series(f, n, a)) <= tol
@@ -145,6 +146,11 @@ class TestDefiniteIntegral:
         with pytest.raises(ValueError):
             definite_integral(f, 5, 3, 1.0)
 
+    def test_equal_limits_give_zero(self):
+        f = lattice_fn(lambda n: 1.0 + n, 8)
+        for n in (0, 3, 8):
+            assert definite_integral(f, n, n, 0.5) == 0.0
+
 
 class TestClosedForms:
     def test_kind_one(self):
@@ -162,6 +168,14 @@ class TestClosedForms:
     def test_singular_cos(self):
         with pytest.raises(SingularQuadrature):
             closed_form_antiderivative("cos", math.pi, 3)
+
+    def test_singular_below_the_tolerance_only(self):
+        # sin(1e-12) rounds to 1e-12 = SINGULAR_TOL exactly, which is not below it
+        assert closed_form_antiderivative("cos", 1e-12, 3) == 3.0
+        assert closed_form_antiderivative("sin2", 5e-13, 2) == pytest.approx(0.0, abs=1e-12)
+        for kind, alpha in (("cos", 0.99e-12), ("sin", 0.99e-12), ("sin2", 0.49e-12)):
+            with pytest.raises(SingularQuadrature):
+                closed_form_antiderivative(kind, alpha, 3)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

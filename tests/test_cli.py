@@ -111,9 +111,17 @@ class TestSweepSpec:
         assert s.values == pytest.approx([1.0, 10.0, 100.0])
 
     def test_rejects_malformed(self):
-        for bad in ("1:2:3", "1:2:one:log", "1:2:3:cubic", "0:2:3:log", "2:1:3:linear", "1:9:1:log"):
+        for bad in ("1:2:3", "1:2:one:log", "1:2:3:cubic", "0:2:3:log", "2:1:3:linear", "2:2:3:linear", "1:9:1:log"):
             with pytest.raises(ConfigError):
                 SweepSpec.parse(bad)
+
+    def test_points_are_bounded_before_the_values_are_formed(self, capsys):
+        # 1e8 points would be a list of ~3 GB; the bound is checked before any value is formed
+        assert len(SweepSpec.parse(f"1:2:{cli.SWEEP_MAX_POINTS}:log").values) == cli.SWEEP_MAX_POINTS
+        for points in (cli.SWEEP_MAX_POINTS + 1, 10 ** 8):
+            assert main(["partition", "--N", "6", "--natural", "--sweep", f"1:2:{points}:linear"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"{cli.SWEEP_MAX_POINTS} points, got {points}" in err
 
 
 class TestParseConfig:
@@ -557,7 +565,8 @@ class TestExitStatuses:
 
 
 def test_byte_check_runs_the_goldens_and_the_non_finite_rows():
-    # tools/same_bytes.py holds its own copies of both lists, to run without the tests
+    # tools/same_bytes.py reads both lists from this file's source, to run without the tests'
+    # imports: the read must find each of them whole
     spec = importlib.util.spec_from_file_location("same_bytes", SRC.parent / "tools" / "same_bytes.py")
     same_bytes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(same_bytes)
@@ -839,6 +848,19 @@ class TestEmitBlocks:
             table[f"f{k}"] = data.draw(st.lists(st.floats(), min_size=rows, max_size=rows))
         assert _emitted(args, table, block_rows) == _expected(args, table)
 
+    @pytest.mark.parametrize("block_rows", [5, 1 << 12])
+    @pytest.mark.parametrize("output", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+    def test_columns_of_other_lengths_raise(self, extra, output, block_rows):
+        # a column one row longer than the first was cut to its length without an error; at 5
+        # block rows the first column's 10 rows end on a block, where the extra row is never sliced
+        args = parse_config(EMIT_ARGS["si"] + ["--output", output])
+        stream = _Writes()
+        with pytest.MonkeyPatch.context() as mp, pytest.raises(ValueError, match="differ in length"):
+            mp.setattr(cli, "EMIT_BLOCK_ROWS", block_rows)
+            emit(args, {"n": list(range(10)), "x": [0.5] * (10 + extra)}, stream)
+        assert stream == []
+
     @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 500])
     @pytest.mark.parametrize("output", ["csv", "json"])
     @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 65])
@@ -950,6 +972,38 @@ class TestEmitBlocks:
                 tracemalloc.stop()
             assert table.rho.nbytes == 8 * 401 ** 2
             assert peak <= 1.25 * table.rho.nbytes, flags
+
+    def test_reader_closing_in_the_last_write_exits_one_without_traceback(self):
+        # the 339,347 bytes are one block and one write, more than the 64 KiB read plus a 64 KiB
+        # pipe buffer hold: the buffered write took part of them and the text layer dropped the rest
+        proc = subprocess.Popen([sys.executable, "-m", "latticewell.cli", "spectrum", "--N", "4000", "--natural"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        seen = 0
+        while seen < 1 << 16:
+            chunk = os.read(proc.stdout.fileno(), (1 << 16) - seen)
+            assert chunk, "the whole table came through before the reader closed"
+            seen += len(chunk)
+        proc.stdout.close()
+        stderr = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert "output error" in stderr and "Traceback" not in stderr
+
+    def test_stdout_writes_reach_its_buffer_whole_and_in_order(self):
+        # text held by the text layer goes first; each write is asked again for the bytes
+        # that a write cut short did not take
+        class Trickle(io.BytesIO):
+            def write(self, data):
+                return super().write(bytes(data[:3]))
+
+        stream = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        stream.write("held\n")
+        cli._WholeWrites(stream).write("rows")
+        assert stream.buffer.getvalue() == b"held\nrows"
+        stream = io.TextIOWrapper(Trickle(), encoding="ascii", errors="backslashreplace")
+        writer = cli._WholeWrites(stream)
+        for text in ("n,x\n", "0,\u00e9" * 5, "", "1,2\n"):
+            writer.write(text)
+        assert stream.buffer.getvalue() == b"n,x\n" + b"0,\\xe9" * 5 + b"1,2\n"
 
     @pytest.mark.parametrize("output, separator", [("csv", b"\n"), ("json", b"], [")], ids=["csv", "json"])
     def test_reader_closing_mid_stream_exits_one_without_traceback(self, output, separator):

@@ -1,6 +1,7 @@
 """Partition functions, mean energy, free energy, and the two-level heat capacity."""
 
 import math
+import sys
 from dataclasses import fields
 
 import mpmath
@@ -327,9 +328,11 @@ class TestTheta:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             theta3(0.0)
-        for mu in (0.0, -1.0):
+        # a subnormal mu has already lost digits (partition_theta takes that range itself), and NaN
+        for mu in (0.0, -1.0, 5e-324, np.nextafter(sys.float_info.min, 0.0), math.nan):
             with pytest.raises(ValueError):
                 theta3_poisson(mu)
+        assert theta3_poisson(sys.float_info.min) == math.sqrt(math.pi / sys.float_info.min)
 
     def test_partition_theta_matches_sum(self):
         for mu in (0.05, 0.145, 1.0, 5.0):

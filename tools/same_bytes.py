@@ -9,14 +9,16 @@ working tree's ``src/``.  Each tree runs in its own interpreter, which imports
 for every argv.  Prints every argv whose exit code, stdout or stderr differ
 between the two trees, and exits 1 if any do, else 0.  Standard library only.
 
-The list (``ARGVS``): the seven golden configs in CSV and in JSON; 225
-``density-matrix`` runs, N in {2, 3, 5, 8, 12, 16, 32, 63, 64, 65, 400} x beta
-in {0, 1, 50, 1e3, 1e5} x with and without ``--normalized`` x CSV/JSON, plus
-SI, ``--T``, N = 1 and no-beta runs; and the error and SI rows of
-``test_no_silent_non_finite_output`` in ``tests/test_cli.py``.
+The list (``ARGVS``): the seven golden configs (``GOLDEN_ARGS``) in CSV and in
+JSON; 225 ``density-matrix`` runs, N in {2, 3, 5, 8, 12, 16, 32, 63, 64, 65,
+400} x beta in {0, 1, 50, 1e3, 1e5} x with and without ``--normalized`` x
+CSV/JSON, plus SI, ``--T``, N = 1 and no-beta runs; and the argv of
+``NON_FINITE_ROWS``, the error and SI rows of ``test_no_silent_non_finite_output``.
+Both lists are read from ``tests/test_cli.py`` with ``ast.literal_eval``, not
+imported.
 """
 
-import hashlib
+import ast
 import itertools
 import json
 import subprocess
@@ -25,16 +27,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-GOLDEN = [
-    ["spectrum", "--N", "8", "--natural"],
-    ["wavefunction", "--N", "8", "--n-E", "2", "--natural"],
-    ["density-matrix", "--N", "5", "--beta", "2", "--natural"],
-    ["partition", "--N", "6", "--natural", "--sweep", "0.5:4:4:linear"],
-    ["mean-energy", "--N", "6", "--natural", "--beta", "1.5"],
-    ["heat-capacity", "--N", "6", "--natural", "--sweep", "0.01:10:12:log"],
-    ["converge", "--L", "1", "--natural", "--sweep", "50:400:4:log", "--n-E", "2"],
-]
 
 DENSITY = [
     ["density-matrix", "--N", str(N), "--natural", "--beta", beta, *normalized, "--output", output]
@@ -49,28 +41,12 @@ DENSITY = [
     ["density-matrix", "--N", "5", "--natural"],
 ]
 
-NON_FINITE = [
-    ["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"],
-    ["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"],
-    ["mean-energy", "--N", "4", "--L", "1", "--natural", "--beta", "1e-309"],
-    ["wavefunction", "--N", "33", "--L", "3e-309", "--natural"],
-    ["partition", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"],
-    ["mean-energy", "--N", "4", "--a", "1e150", "--SI", "--hbar", "1e154", "--beta", "1e-12"],
-    ["partition", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"],
-    ["mean-energy", "--N", "4", "--a", "1", "--SI", "--hbar", "1e-170", "--beta", "1e-10"],
-    ["partition", "--N", "4", "--a", "5e-150", "--natural", "--T", "9.99e307"],
-    ["mean-energy", "--N", "4", "--SI", "--m-star", "1.7e-200", "--k-B", "1.7e10",
-     "--sweep", "1.7e-320:3.40016e-320:3:linear"],
-    ["partition", "--L", "1", "--SI", "--hbar", "1e160", "--beta", "1"],
-    ["mean-energy", "--L", "1", "--SI", "--hbar", "1e200", "--beta", "1"],
-    ["partition", "--L", "1e150", "--SI", "--m-star", "5e-324", "--hbar", "1", "--beta", "1"],
-    ["partition", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"],
-    ["mean-energy", "--L", "1e-160", "--SI", "--m-star", "1e160", "--hbar", "1e100", "--beta", "1e300"],
-    ["partition", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"],
-    ["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"],
-    ["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"],
-    ["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"],
-]
+# The goldens and the non-finite rows are the tests' own lists, read as literals
+# from tests/test_cli.py so that this tool never imports the tests or what they need.
+_TESTS = {node.targets[0].id: node.value for node in ast.parse((ROOT / "tests" / "test_cli.py").read_text()).body
+          if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+GOLDEN = list(ast.literal_eval(_TESTS["GOLDEN_ARGS"]).values())
+NON_FINITE = [argv for argv, _, _ in ast.literal_eval(_TESTS["NON_FINITE_ROWS"])]
 
 ARGVS = [*GOLDEN, *(argv + ["--output", "json"] for argv in GOLDEN), *DENSITY, *NON_FINITE]
 
