@@ -32,11 +32,12 @@ choices, flags override the file, and a flag silences the file's member of
 its exclusive pair (a/L, beta/T, natural/SI).
 
 Exit statuses: 0 success; 1 stdout closed early (a pipe's reader stopped);
-2 configuration error, including a config file that cannot be read, an --out
-path that cannot be written and a sweep of more than ``SWEEP_MAX_POINTS`` points
-or whose values overflow; 3 domain error, including a quantity that overflows
-(beta or T from the other, energy scale, E_continuum, width, Z_closed, F,
-H_mean_continuum, x); 4 numeric error (series cap hit).  The unit-bearing
+2 configuration error, including a config file that cannot be read or decoded,
+an --out path that cannot be written, a run whose arrays do not fit in memory
+and a sweep of more than ``SWEEP_MAX_POINTS`` points or whose values overflow;
+3 domain error, including a quantity that overflows (beta or T from the other,
+energy scale, E_continuum, width, Z_closed, F, H_mean_continuum, x); 4 numeric
+error (series cap hit).  The unit-bearing
 quantities (the energy scale, E_continuum, mu, Z_closed and sqrt(2/L)) follow
 one rule: each is formed from its factors' significands, with their powers of
 two applied once at the end, so it
@@ -218,9 +219,9 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     flagged = {dest for dest, value in vars(args).items() if value is not None and value is not False}
     silenced = {dest for pair in _PAIRS if flagged.intersection(pair) for dest in pair}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     flags = []
     for lineno, raw in enumerate(lines, 1):
@@ -588,6 +589,9 @@ def main(argv=None) -> int:
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # e.g. a density matrix larger than the host's memory
+        print(f"config error: memory ran out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SystemExit as exc:  # argparse usage text / --help
         return int(exc.code) if exc.code else 0

@@ -237,6 +237,12 @@ class TestParseConfig:
         conf.write_text("\n".join(lines) + "\n")
         assert parse_config([argv[0], "--config", str(conf)]) == parse_config(argv)
 
+    @pytest.mark.parametrize("argv", [["wavefunction", "--N", "6", "--natural"],
+                                      ["converge", "--L", "1", "--natural", "--sweep", "50:400:3:log"]],
+                             ids=["wavefunction", "converge"])
+    def test_n_E_defaults_to_the_ground_mode(self, argv):
+        assert parse_config(argv).n_E == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -250,13 +256,16 @@ class TestParseConfig:
         (["density-matrix", "--N", "5", "--natural"], "give --beta or --T"),
         (["wavefunction", "--N", "5", "--n-E", "0", "--natural"], "n-E must be >= 1"),
         (["spectrum", "--N", "5", "--config", "{missing}"], "cannot read config file"),
-        (["spectrum", "--N", "5", "--config", "{conf}"], "expected 'key = value'"),
+        (["spectrum", "--N", "5", "--config", "{conf}"], "run.conf:1: expected 'key = value'"),
+        (["spectrum", "--N", "5", "--config", "{binary}"], "cannot read config file"),
     ], ids=["negative-beta", "partition-without-beta", "N-required", "continuum-without-L", "beta-and-sweep",
-            "density-without-beta", "n-E-zero", "missing-config-file", "config-line-without-equals"])
+            "density-without-beta", "n-E-zero", "missing-config-file", "config-line-without-equals",
+            "config-file-not-utf8"])
     def test_config_errors_name_their_cause(self, argv, message, tmp_path, capsys):
-        conf = tmp_path / "run.conf"
+        conf, binary = tmp_path / "run.conf", tmp_path / "binary.conf"
         conf.write_text("N 6\n")
-        assert main([arg.format(conf=conf, missing=tmp_path / "missing.conf") for arg in argv]) == 2
+        binary.write_bytes(b"N = 5\n\xff\n")
+        assert main([arg.format(conf=conf, binary=binary, missing=tmp_path / "missing.conf") for arg in argv]) == 2
         assert message in capsys.readouterr().err
 
 
@@ -708,6 +717,13 @@ class TestOutput:
         assert doc["meta"] == {"version": "0.1.0", "unit_mode": "SI", "m_star": 9.1e-31, "hbar": 1.054e-34,
                                "k_B": 1.4e-23}
 
+    @pytest.mark.parametrize("command", ["partition", "density-matrix", "heat-capacity"])
+    def test_temperature_and_beta_give_one_table(self, command, capsys):
+        # beta = 1/(k_B T), and T = 1/(k_B beta) for heat-capacity: T = 0.5 is beta = 2 exactly
+        by_T = run_cli([command, "--N", "6", "--natural", "--T", "0.5"], capsys)
+        assert by_T == run_cli([command, "--N", "6", "--natural", "--beta", "2"], capsys)
+        assert by_T[0] == 0
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table.csv"
         code = main(["spectrum", "--N", "4", "--natural", "--out", str(target)])
@@ -731,6 +747,18 @@ class TestOutput:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+
+    def test_allocation_past_memory_is_config_error(self):
+        # rho at N = 10**6 is 7.28 TiB; the child caps its address space before NumPy loads,
+        # so the allocation fails at once and never pages in memory
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                 "from latticewell.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "density-matrix", "--N", "1000000", "--natural", "--beta", "1"],
+            capture_output=True, text=True, env=cli_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: memory ran out") and "Traceback" not in proc.stderr
 
     def test_closed_stdout_exits_one_without_traceback(self):
         # 90,601 rows, far more than a pipe buffer: the writes meet the closed pipe

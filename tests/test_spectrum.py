@@ -65,7 +65,8 @@ def test_wall_stencils_and_input_checks(call, expected):
 
 
 def test_particle_spec_validation():
-    for bad in ((0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, -1.38e-23), (1.0, 1.0, math.nan)):
+    for bad in ((0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -1.054e-34, 1.0), (1.0, 1.0, 0.0),
+                (1.0, 1.0, -1.38e-23), (1.0, 1.0, math.nan)):
         with pytest.raises(ValueError):
             ParticleSpec(*bad)
     assert ParticleSpec.natural() == ParticleSpec(1.0, 1.0, 1.0)
@@ -350,11 +351,13 @@ class TestNumericSpectrum:
 
     def test_rejects_asymmetric(self):
         M = np.array([[1.0, 2e-12], [0.0, 1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="asymmetry"):
             numeric_spectrum(M)
+        # an asymmetry of exactly 1e-12 does not exceed the tolerance
+        assert numeric_spectrum(np.array([[1.0, 1e-12], [0.0, 1.0]])) == pytest.approx([1.0, 1.0])
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a square matrix"):
             numeric_spectrum(np.zeros((2, 3)))
 
 

@@ -10,10 +10,13 @@ function it makes each change of three kinds, one at a time:
 - flip < and <=, and > and >=;
 - change an int constant by 1, or double a float constant.
 
-Docstrings, f-strings and ``raise`` statements are left alone.  Each mutant is
-the function's ``ast.unparse`` with that one change, written over the function
-in a temporary copy of ``src/``; tier-1 then runs against the copy with
-``-x -q``, one run per mutant.  The unchanged function, unparsed the same way,
+Docstrings, f-strings and ``raise`` statements are left alone.  The working
+tree is copied once into a temporary directory, without ``.git``,
+``__pycache__``, ``*.egg-info`` and ``bench/out``.  Each mutant is the
+function's ``ast.unparse`` with that one change, written over the function in
+the copy's ``src/``; tier-1 then runs with ``-x -q`` with the copy as its
+working directory, one run per mutant, so the tests and every interpreter they
+start import the mutant.  The unchanged function, unparsed the same way,
 must pass first.  A mutant that tier-1 passes survives: each survivor is printed
 with its line and its change, and the exit status is 1 if any survive, else 0.
 A mutant that hangs past ten times the first run's time counts as killed.
@@ -95,13 +98,19 @@ def mutant(source: str, name: str, k: int | None) -> tuple[str, int, str]:
     return "".join([*lines[:start], body, *lines[func.end_lineno:]]), line, change
 
 
-def tier1(src: Path, timeout: float | None) -> tuple[bool, float]:
-    """(passed, seconds) of tier-1 run with -x -q against the copy of src/ at src."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}"]
+def skipped(directory: str, names: list[str]) -> set[str]:
+    """The entries of directory that the copy of the working tree leaves out."""
+    return {n for n in names if n in (".git", "__pycache__") or n.endswith(".egg-info")
+            or Path(directory, n) == ROOT / "bench" / "out"}
+
+
+def tier1(tree: Path, timeout: float | None) -> tuple[bool, float]:
+    """(passed, seconds) of tier-1 run with -x -q in the copy of the working tree at tree."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     t0 = time.perf_counter()
     try:
-        run = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        run = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                              timeout=timeout)
     except subprocess.TimeoutExpired:
         return False, time.perf_counter() - t0
@@ -125,11 +134,11 @@ def main(argv: list[str]) -> int:
         return 2
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        target = src / relative
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=skipped)
+        target = tree / "src" / relative
         target.write_text(mutant(source, name, None)[0])
-        passed, seconds = tier1(src, None)
+        passed, seconds = tier1(tree, None)
         if not passed:
             print(f"tier-1 fails on the unmutated {name}; nothing to survey", file=sys.stderr)
             return 2
@@ -137,7 +146,7 @@ def main(argv: list[str]) -> int:
         for k in range(count):
             text, line, change = mutant(source, name, k)
             target.write_text(text)
-            passed, _ = tier1(src, 10 * seconds + 60)
+            passed, _ = tier1(tree, 10 * seconds + 60)
             print(f"  {k + 1}/{count} {'SURVIVED' if passed else 'killed'}  line {line}: {change}", file=sys.stderr)
             if passed:
                 survivors.append(f"{path.name}:{line}: {change}")

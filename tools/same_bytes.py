@@ -6,8 +6,11 @@ Extracts ``src/`` of REV (``git archive REV src | tar -x``) into a temporary
 directory and runs a built-in list of argv against that tree and against the
 working tree's ``src/``.  Each tree runs in its own interpreter, which imports
 ``latticewell`` from that tree and calls ``latticewell.cli.main`` in process
-for every argv.  Prints every argv whose exit code, stdout or stderr differ
-between the two trees, and exits 1 if any do, else 0.  Standard library only.
+for every argv.  Its stdout is a text layer over a byte buffer, as a pipe's
+is, so ``cli.run`` takes its real-stdout path, and the digest is of the bytes
+that buffer receives.  Prints every argv whose exit code, stdout or stderr
+differ between the two trees, and exits 1 if any do, else 0.  Standard library
+only.
 
 The list (``ARGVS``): the seven golden configs (``GOLDEN_ARGS``) in CSV and in
 JSON; 225 ``density-matrix`` runs, N in {2, 3, 5, 8, 12, 16, 32, 63, 64, 65,
@@ -58,10 +61,11 @@ sys.path.insert(0, sys.argv[1])
 from latticewell.cli import main
 results = []
 for argv in json.load(sys.stdin):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    results.append([code, *(hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))])
+    out.flush()
+    results.append([code, *(hashlib.sha256(b).hexdigest() for b in (out.buffer.getvalue(), err.getvalue().encode()))])
 json.dump(results, sys.stdout)
 """
 
