@@ -219,7 +219,7 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
     flagged = {dest for dest, value in vars(args).items() if value is not None and value is not False}
     silenced = {dest for pair in _PAIRS if flagged.intersection(pair) for dest in pair}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
@@ -233,8 +233,8 @@ def _config_flags(path: str, args: argparse.Namespace) -> list[str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = key.strip(), val.strip()
         dest = key.replace("-", "_").replace("SI", "si")
-        # An exact dest, never a prefix that argparse would complete.
-        if dest == "config" or not hasattr(args, dest):
+        # An exact dest of the subcommand, never a prefix that argparse would complete.
+        if dest in ("config", "command") or not hasattr(args, dest):
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if dest in silenced:
             continue

@@ -119,6 +119,9 @@ class Spectrum:
     particle: ParticleSpec
     e_tilde: np.ndarray
 
+    def __post_init__(self):
+        self.e_tilde.setflags(write=False)
+
     @functools.cached_property
     def epsilon0(self) -> float:
         return self.particle.energy_scale(self.lattice.a)
@@ -191,9 +194,7 @@ def energy_continuum(n_E, L: float, particle: ParticleSpec):
 
 def build_spectrum(lattice: LatticeSpec, particle: ParticleSpec) -> Spectrum:
     """All N-1 modes in ascending n_E: their dimensionless energies sin^2(pi n_E / N)."""
-    e_tilde = dimensionless_energy(np.arange(1, lattice.N), lattice.N)
-    e_tilde.setflags(write=False)
-    return Spectrum(lattice, particle, e_tilde)
+    return Spectrum(lattice, particle, dimensionless_energy(np.arange(1, lattice.N), lattice.N))
 
 
 def eigenfunction(n_E: int, lattice: LatticeSpec) -> LatticeFunction:

@@ -5,7 +5,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import math
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +45,9 @@ from latticewell.thermo import (
     theta_argument,
 )
 from latticewell.cli import main as cli_main
+from test_cli import GOLDEN, GOLDEN_ARGS
 
 NATURAL = ParticleSpec.natural()
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @contextmanager
@@ -270,16 +269,7 @@ def test_criterion_10_density_matrix_continuum_limit():
 
 def test_criterion_11_cli_determinism(capsys):
     with criterion(11, "golden-file byte equality for one config per subcommand"):
-        cases = {
-            "spectrum.csv": ["spectrum", "--N", "8", "--natural"],
-            "wavefunction.csv": ["wavefunction", "--N", "8", "--n-E", "2", "--natural"],
-            "density-matrix.csv": ["density-matrix", "--N", "5", "--beta", "2", "--natural"],
-            "partition.csv": ["partition", "--N", "6", "--natural", "--sweep", "0.5:4:4:linear"],
-            "mean-energy.csv": ["mean-energy", "--N", "6", "--natural", "--beta", "1.5"],
-            "heat-capacity.csv": ["heat-capacity", "--N", "6", "--natural", "--sweep", "0.01:10:12:log"],
-            "converge.csv": ["converge", "--L", "1", "--natural", "--sweep", "50:400:4:log", "--n-E", "2"],
-        }
-        for name, args in cases.items():
+        for name, args in GOLDEN_ARGS.items():
             assert cli_main(args) == 0
             out = capsys.readouterr().out
             assert out == (GOLDEN / name).read_text(), f"golden mismatch for {name}"

@@ -128,14 +128,15 @@ class TestSpectralConstruction:
 
 
 class TestFFTPath:
-    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 16, 31, 32, 33, 34])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 12, 16, 31, 32, 33, 34])
     def test_matches_dense_product_with_exact_structure(self, N):
         spec = spectrum_for(N, 0.3)
-        beta = 0.8 / spec.epsilon0
-        rho = density_matrix_spectral(spec, beta).rho
-        ref = density_matrix_dense(spec, beta).rho
-        assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref))
-        _assert_exact_structure(rho)
+        for be in (0.0, 0.8):
+            beta = be / spec.epsilon0
+            rho = density_matrix_spectral(spec, beta).rho
+            ref = density_matrix_dense(spec, beta).rho
+            assert np.max(np.abs(rho - ref)) <= 1e-14 * np.max(np.abs(ref)), be
+            _assert_exact_structure(rho)
 
     @settings(deadline=None, derandomize=True)
     @given(

@@ -61,7 +61,8 @@ ROUND_TRIP_ARGS = {**GOLDEN_ARGS,
     "mean-energy-continuum": ["mean-energy", "--L", "50", "--natural", "--sweep", "0.5:4:3:linear"],
 }
 
-#: Runs that once printed inf or nan with exit 0, or failed unnamed: (argv, exit code, what stderr names).
+#: Runs that once printed inf or nan with exit 0 or failed unnamed, and runs that must fail named:
+#: (argv, exit code, what stderr names).
 NON_FINITE_ROWS = [
     (["spectrum", "--N", "4", "--a", "1e160", "--SI", "--hbar", "1e154"], 0, None),
     (["mean-energy", "--L", "1", "--natural", "--beta", "1e-309"], 3, "H_mean_continuum overflows"),
@@ -86,6 +87,11 @@ NON_FINITE_ROWS = [
     (["mean-energy", "--L", "1e160", "--SI", "--m-star", "1", "--hbar", "1e160", "--beta", "1"], 0, None),
     (["spectrum", "--N", "24", "--L", "3.286117576999689e-153", "--natural"], 3, "E_continuum = pi^2 n_E^2"),
     (["density-matrix", "--N", "8", "--L", "1e200", "--beta", "1e6", "--SI", "--hbar", "1e160"], 0, None),
+    (["partition", "--N", "5", "--natural", "--beta", "5e-13"], 4, "sum of exp(-9.8696e-14 n^2)"),
+    (["converge", "--L", "1e300", "--natural", "--beta", "1e-300", "--quantity", "partition",
+      "--sweep", "2:4:2:linear"], 4, "sum of exp(-0 n^2)"),
+    (["wavefunction", "--N", "5", "--n-E", "7", "--natural"], 3, "n_E=7 outside [1, 4]"),
+    (["heat-capacity", "--N", "4", "--natural", "--T", "1"], 3, "two-level quantities need N >= 5"),
 ]
 
 
@@ -178,10 +184,20 @@ class TestParseConfig:
         assert cfg.output == "json"
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
+        # command is the top-level parser's dest, not an option of the subcommand
         conf = tmp_path / "run.conf"
-        conf.write_text("N = 5\nmass = 3\n")
-        assert main(["spectrum", "--config", str(conf)]) == 2
-        assert "mass" in capsys.readouterr().err
+        for argv, lines, key in ((["spectrum"], "N = 5\nmass = 3\n", "mass"),
+                                 (["partition", "--N", "6", "--beta", "1"], "command = spectrum\n", "command")):
+            conf.write_text(lines)
+            assert main([*argv, "--config", str(conf)]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    def test_config_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"\xef\xbb\xbfN = 6\nnatural = yes\nbeta = 1\n")
+        by_file = run_cli(["partition", "--config", str(conf)], capsys)
+        assert by_file == run_cli(["partition", "--N", "6", "--natural", "--beta", "1"], capsys)
+        assert by_file[0] == 0
 
     def test_config_file_exclusive_pair_override(self, tmp_path):
         # a flag from an exclusive pair silences the file's other member
@@ -258,41 +274,20 @@ class TestParseConfig:
         (["spectrum", "--N", "5", "--config", "{missing}"], "cannot read config file"),
         (["spectrum", "--N", "5", "--config", "{conf}"], "run.conf:1: expected 'key = value'"),
         (["spectrum", "--N", "5", "--config", "{binary}"], "cannot read config file"),
+        (["heat-capacity", "--N", "6", "--natural", "--beta", "0"], "heat-capacity needs beta > 0"),
     ], ids=["negative-beta", "partition-without-beta", "N-required", "continuum-without-L", "beta-and-sweep",
             "density-without-beta", "n-E-zero", "missing-config-file", "config-line-without-equals",
-            "config-file-not-utf8"])
+            "config-file-not-utf8", "heat-capacity-beta-0"])
     def test_config_errors_name_their_cause(self, argv, message, tmp_path, capsys):
         conf, binary = tmp_path / "run.conf", tmp_path / "binary.conf"
         conf.write_text("N 6\n")
         binary.write_bytes(b"N = 5\n\xff\n")
         assert main([arg.format(conf=conf, binary=binary, missing=tmp_path / "missing.conf") for arg in argv]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
 
 class TestExitStatuses:
-    def test_domain_error_small_n_heat_capacity(self, capsys):
-        assert main(["heat-capacity", "--N", "4", "--natural", "--T", "1"]) == 3
-        assert "domain error" in capsys.readouterr().err
-
-    def test_heat_capacity_zero_beta_is_config_error(self, capsys):
-        assert main(["heat-capacity", "--N", "6", "--natural", "--beta", "0"]) == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_domain_error_bad_mode(self, capsys):
-        assert main(["wavefunction", "--N", "5", "--n-E", "7", "--natural"]) == 3
-
-    def test_numeric_error_series_cap(self, capsys):
-        # mu ~ 2.5e-12 needs far more than the 1e6-term cap
-        assert main(["partition", "--N", "5", "--natural", "--beta", "5e-13"]) == 4
-        assert "numeric error" in capsys.readouterr().err
-
-    def test_numeric_error_series_cap_at_underflowed_mu(self, capsys):
-        # mu = beta pi^2/(2 L^2) underflows to 0: the continuum sum of ones hits the cap
-        argv = ["converge", "--L", "1e300", "--natural", "--beta", "1e-300", "--quantity", "partition",
-                "--sweep", "2:4:2:linear"]
-        assert main(argv) == 4
-        assert "numeric error: sum of exp(-0 n^2) needs more than 1000000 terms" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["converge", "--L", "1", "--natural", "--sweep", "0.5:3:3:linear"],
         ["converge", "--L", "1", "--sweep", "1:3:3:linear", "--quantity", "partition", "--beta", "1"],
@@ -471,7 +466,8 @@ class TestExitStatuses:
             "partition-hbar-squared-overflow", "mean-energy-hbar-squared-overflow",
             "partition-subnormal-m-star", "free-energy-closed-underflow", "mean-energy-closed-underflow",
             "partition-both-squares-overflow", "mean-energy-both-squares-overflow", "spectrum-continuum-overflow",
-            "density-energy-scale"])
+            "density-energy-scale", "series-cap", "series-cap-at-underflowed-mu", "mode-past-N-1",
+            "heat-capacity-N-below-5"])
     def test_no_silent_non_finite_output(self, argv, code, named, capsys):
         # each printed inf or nan with exit 0, or failed unnamed: E_continuum as hbar^2 pi^2
         # overflowed, H_mean_continuum ~ 1/(2 beta) overflows, sqrt(2/L) as 2/L overflowed
@@ -485,7 +481,10 @@ class TestExitStatuses:
         # underflows to 0 failed as a bare "math domain error"; where hbar hbar and 2 m* L^2 both
         # overflowed, mu = inf/inf was NaN and the continuum sum reported the series cap;
         # E_continuum = pi^2 n_E^2 hbar^2/(2 m* L^2) overflowed where the lattice E did not; and
-        # hbar hbar = 1e320 overflowed and named the energy scale, where epsilon0 ~ 3.5e-49
+        # hbar hbar = 1e320 overflowed and named the energy scale, where epsilon0 ~ 3.5e-49;
+        # the last four rows must fail and name why: mu ~ 2.5e-12 needs far more than the
+        # 1e6-term cap, a mu that underflows to 0 sums ones up to it, n_E is past N - 1, and
+        # the two-level quantities need N >= 5
         assert main(argv) == code
         captured = capsys.readouterr()
         rows = list(csv.DictReader(io.StringIO(captured.out)))
@@ -494,7 +493,7 @@ class TestExitStatuses:
         assert (len(cells) > 0) == (code == 0)
         assert all(math.isfinite(float(cell)) for cell in cells)
         if named:
-            message = {3: "domain error: {}", 4: "numeric error: {} needs more than"}[code]
+            message = {3: "domain error: {}", 4: "numeric error: {} needs more than 1000000 terms"}[code]
             assert message.format(named) in captured.err
 
     @given(data=st.data())

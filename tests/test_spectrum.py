@@ -13,6 +13,7 @@ from latticewell.calculus import centered_diff1, centered_diff2, definite_integr
 from latticewell.lattice import LatticeFunction, LatticeSpec
 from latticewell.spectrum import (
     ParticleSpec,
+    Spectrum,
     build_hamiltonian_matrix,
     build_spectrum,
     continuum_limit_error,
@@ -213,6 +214,14 @@ class TestSpectrumObject:
         assert np.array_equal(E, spec.epsilon0 * spec.e_tilde)
         with pytest.raises(ValueError):
             E[0] = 0.0
+
+    def test_e_tilde_is_read_only_whatever_array_it_is_built_from(self):
+        # energies is cached from e_tilde, so a write to e_tilde would go unseen by it
+        e_tilde = dimensionless_energy(np.arange(1, 5), 5)
+        spec = Spectrum(LatticeSpec(5), NATURAL, e_tilde - e_tilde[0])
+        assert not spec.e_tilde.flags.writeable
+        with pytest.raises(ValueError):
+            spec.e_tilde[0] = 1.0
 
     def test_energies_raise_where_the_energy_scale_overflows(self):
         # the spectrum is built, and the overflow raises at the first read of the energies
